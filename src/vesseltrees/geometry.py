@@ -9,8 +9,8 @@ extrapolated flow agrees with the flow estimate at the far end.
 
 Scalar functions here are the reference implementations used by tests and
 small-scale callers; the ``batch_*`` kernels are the vectorized versions the
-graph builder runs on large pair arrays. The two are kept independent so one
-can cross-check the other.
+graph builder and the tree resampler run on large row arrays. The two are
+kept independent so one can cross-check the other.
 """
 
 from __future__ import annotations
@@ -228,9 +228,10 @@ def cocircularity_angle(p: OrientedSample, q: OrientedSample) -> float:
 def arc_points(p_pos, p_tangent, q_pos, s) -> np.ndarray:
     """Evaluate the arc parameterization c(s), s in [0, 1], vectorized in s.
 
-    c(0) is p, c(1) is q, and the curve leaves p along ``p_tangent``. Used
-    for resampling reconstructed trees and as the geometric ground truth in
-    oracle tests (length by quadrature, end tangent by finite differences).
+    c(0) is p, c(1) is q, and the curve leaves p along ``p_tangent``. The
+    geometric ground truth in oracle tests (length by quadrature, end
+    tangent by finite differences) and the reference for
+    ``batch_arc_points``.
     """
     p = _vec3(p_pos, "p_pos")
     t = _unit3(p_tangent, "p_tangent")
@@ -246,10 +247,12 @@ def arc_points(p_pos, p_tangent, q_pos, s) -> np.ndarray:
     if alpha >= ALPHA_DEGENERATE:
         raise DegenerateInputError("degenerate arc has no parameterization")
     # In-plane unit normal to t on the chord side; undefined in the straight
-    # limit where the arc is the chord itself.
+    # limit where the arc is the chord itself. A tangent within ~1e-8 rad of
+    # the chord rounds cos_a to 1 and alpha to 0, which leaves no finite
+    # radius either; the chord is then within 1e-8 chord lengths of the arc.
     b_raw = e - cos_a * t
     b_norm = float(np.linalg.norm(b_raw))
-    if b_norm < 1e-12:
+    if b_norm < 1e-12 or alpha == 0.0:
         return p + s[:, None] * chord
     b = b_raw / b_norm
     radius = d / (2.0 * math.sin(alpha))
@@ -261,7 +264,7 @@ def arc_points(p_pos, p_tangent, q_pos, s) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels (graph-construction hot path)
+# Vectorized kernels (graph construction and tree resampling hot paths)
 # ---------------------------------------------------------------------------
 
 def batch_arc_geometry(p_pos, p_tan, q_pos):
@@ -281,6 +284,40 @@ def batch_arc_geometry(p_pos, p_tan, q_pos):
     length = np.where(alpha >= ALPHA_DEGENERATE, np.inf, d * ratio)
     end_tan = 2.0 * cos_a[:, None] * e - np.asarray(p_tan, float)
     return d, alpha, length, end_tan
+
+
+def batch_arc_points(p_pos, p_tan, q_pos, s) -> np.ndarray:
+    """Row-wise ``arc_points``: row i is c(s[i]) on the arc p[i] -> q[i].
+
+    Straight rows (start tangent along the chord) fall back to the chord.
+    Raises ``DegenerateInputError`` if any row has coincident endpoints or
+    an anti-parallel start tangent, like the scalar version.
+    """
+    p = np.asarray(p_pos, float).reshape(-1, 3)
+    t = np.asarray(p_tan, float).reshape(-1, 3)
+    s = np.asarray(s, float).reshape(-1)
+    chord = np.asarray(q_pos, float).reshape(-1, 3) - p
+    d = np.linalg.norm(chord, axis=1)
+    if np.any(d <= COINCIDENT_TOL):
+        raise DegenerateInputError("arc endpoints coincide")
+    e = chord / d[:, None]
+    cos_a = np.clip(np.einsum("ij,ij->i", t, e), -1.0, 1.0)
+    alpha = np.arccos(cos_a)
+    if np.any(alpha >= ALPHA_DEGENERATE):
+        raise DegenerateInputError("degenerate arc has no parameterization")
+    b_raw = e - cos_a[:, None] * t
+    b_norm = np.linalg.norm(b_raw, axis=1)
+    straight = (b_norm < 1e-12) | (alpha == 0.0)
+    # Straight rows produce inf/nan here and are replaced by the chord.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b = b_raw / b_norm[:, None]
+        radius = d / (2.0 * np.sin(alpha))
+        center = p + radius[:, None] * b
+        theta = 2.0 * alpha * s
+        arc = (center
+               + np.cos(theta)[:, None] * (p - center)
+               + np.sin(theta)[:, None] * (radius[:, None] * t))
+    return np.where(straight[:, None], p + s[:, None] * chord, arc)
 
 
 def batch_confluence_angles(end_tangents, q_tan) -> np.ndarray:

@@ -15,10 +15,12 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
 from .geometry import SampleCloud
+from .graphs import NeighborSystem
 from .solvers import EXCLUDED, NO_PARENT, VesselTree
 from .synth import GroundTruthTree
 
@@ -223,10 +225,14 @@ def write_neighbor_pairs(path, system):
 
 
 def read_neighbor_pairs(path):
-    from .graphs import NeighborSystem
-
-    _, rows = read_csv(path)
-    pairs = np.array([[int(r[0]), int(r[1])] for r in rows], dtype=np.int64)
+    """Load a ``u,v`` pair CSV; a header-only file gives no pairs."""
+    with warnings.catch_warnings():
+        # loadtxt warns on a file with no data rows, a valid empty system
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pairs = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64,
+                           ndmin=2)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns, got {pairs.shape[1]}")
     return NeighborSystem(k=0, pairs=pairs)

@@ -2,9 +2,13 @@
 
 Point-matching metrics (centerline and bifurcation recall/fall-out) resample
 both trees uniformly and match points within ``max(radius, zeta)`` where
-zeta defaults to half a voxel diagonal. Bifurcation angular error matches
-every ground-truth branching to the closest reconstructed branching point
-with no distance cutoff and reports the median absolute angle difference.
+zeta defaults to half a voxel diagonal. One evaluation call resamples
+each tree once, in one batched pass over all its edges, and one
+nearest-point query in each direction serves every tolerance scale of a
+sweep: the distances do not depend on the tolerance, so each scale is only
+a threshold on them. Bifurcation angular error matches every ground-truth
+branching to the closest reconstructed branching point with no distance
+cutoff and reports the median absolute angle difference.
 Connectivity recall/fall-out scores a neighbor system by whether its edges
 follow ancestor/descendant lines of the ground-truth tree.
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import arc_points
+from .geometry import batch_arc_points
 from .graphs import NeighborSystem, as_cloud
 from .synth import GroundTruthTree
 
@@ -81,18 +85,6 @@ def _children_map(tree):
     return children
 
 
-def _edge_curve(tree, child, fracs) -> np.ndarray:
-    """Points along the edge parent -> child at the given arc fractions."""
-    a = int(tree.parent[child])
-    p = tree.positions[a]
-    q = tree.positions[child]
-    tangents = getattr(tree, "edge_start_tangent", None)
-    if tangents is not None and np.all(np.isfinite(tangents[child])):
-        return arc_points(p, tangents[child], q, fracs)
-    fracs = np.atleast_1d(np.asarray(fracs, dtype=float))
-    return p + fracs[:, None] * (q - p)
-
-
 def _edge_length(tree, child) -> float:
     lengths = getattr(tree, "edge_length", None)
     if lengths is not None and math.isfinite(lengths[child]):
@@ -101,13 +93,25 @@ def _edge_length(tree, child) -> float:
     return float(np.linalg.norm(tree.positions[child] - tree.positions[a]))
 
 
+def _edge_lengths(tree, childs) -> np.ndarray:
+    """Stored arc length of each edge where finite, else its chord length."""
+    chord = np.linalg.norm(tree.positions[childs]
+                           - tree.positions[tree.parent[childs]], axis=1)
+    stored = getattr(tree, "edge_length", None)
+    if stored is None:
+        return chord
+    stored = np.asarray(stored, dtype=float)[childs]
+    return np.where(np.isfinite(stored), stored, chord)
+
+
 def resample_tree(tree, step: float = DEFAULT_STEP):
     """Uniformly resample every edge; returns (points, radii-or-None).
 
     Points are spaced at most ``step`` apart in arc length with both edge
-    endpoints always included; reconstructed trees are resampled along
-    their arc geometry, ground truth along its polylines. Radii are
-    interpolated for trees that carry them.
+    endpoints always included, edge by edge in ascending child order;
+    reconstructed trees are resampled along their arc geometry, ground
+    truth along its polylines. Radii are interpolated for trees that carry
+    them. All edges are evaluated in one array pass.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -117,43 +121,77 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
         root = getattr(tree, "root", 0)
         pts = tree.positions[int(root)][None, :]
         return (pts, radii[[int(root)]].copy() if radii is not None else None)
-    pts, rads = [], []
-    for child in childs:
-        child = int(child)
-        a = int(tree.parent[child])
-        n = max(1, int(math.ceil(_edge_length(tree, child) / step)))
-        fracs = np.arange(n + 1) / n
-        pts.append(_edge_curve(tree, child, fracs))
-        if radii is not None:
-            rads.append((1 - fracs) * radii[a] + fracs * radii[child])
-    points = np.concatenate(pts, axis=0)
-    return points, (np.concatenate(rads) if radii is not None else None)
+    counts = np.maximum(
+        1, np.ceil(_edge_lengths(tree, childs) / step).astype(np.int64))
+    # one row per output point: the edge it lies on and its arc fraction
+    edge = np.repeat(np.arange(childs.size), counts + 1)
+    first = np.cumsum(counts + 1) - (counts + 1)
+    fracs = (np.arange(edge.size) - first[edge]) / counts[edge]
+    child = childs[edge]
+    par = tree.parent[child]
+    p = tree.positions[par]
+    q = tree.positions[child]
+    points = p + fracs[:, None] * (q - p)
+    tangents = getattr(tree, "edge_start_tangent", None)
+    if tangents is not None:
+        t = tangents[child]
+        on_arc = np.all(np.isfinite(t), axis=1)
+        if on_arc.any():
+            points[on_arc] = batch_arc_points(p[on_arc], t[on_arc],
+                                              q[on_arc], fracs[on_arc])
+    if radii is None:
+        return points, None
+    return points, (1 - fracs) * radii[par] + fracs * radii[child]
 
 
-def _match_stats(gt_pts, gt_radii, rec_pts, tol: MatchTolerance):
-    """(recall, fallout) between two point sets with per-GT-point radii."""
-    if rec_pts.shape[0] == 0:
-        return 0.0, 0.0
-    if gt_pts.shape[0] == 0:
-        return math.nan, 1.0
-    limits = tol.for_radii(gt_radii if gt_radii is not None
-                           else np.zeros(gt_pts.shape[0]))
+def _nearest(gt_pts, rec_pts):
+    """One nearest-point pass each way: (d_gt, d_rec, nearest GT index)."""
     d_gt, _ = cKDTree(rec_pts).query(gt_pts, workers=-1)
-    recall = float(np.mean(d_gt <= limits))
     d_rec, nearest = cKDTree(gt_pts).query(rec_pts, workers=-1)
+    return d_gt, d_rec, nearest
+
+
+def _rates(d_gt, d_rec, nearest, limits):
+    """(recall, fallout) for one tolerance, given per-GT-point limits."""
+    recall = float(np.mean(d_gt <= limits))
     fallout = float(np.mean(d_rec > limits[nearest]))
     return recall, fallout
+
+
+def _roc_rates(gt, recon, tolerances, kind, step):
+    """(recall, fallout) per tolerance from one resample and one query.
+
+    ``kind`` "bifurcation" matches branching points; anything else matches
+    resampled centerlines.
+    """
+    if kind == "bifurcation":
+        gt_bifs = gt.bifurcations
+        rec_nodes = recon.branching_nodes()
+        rec_pts = recon.positions[rec_nodes] if rec_nodes.size else \
+            np.empty((0, 3))
+        gt_pts = gt.positions[gt_bifs] if gt_bifs.size else np.empty((0, 3))
+        gt_radii = gt.radii[gt_bifs] if gt_bifs.size else None
+    else:
+        if np.sum(np.asarray(recon.parent) >= 0) == 0:
+            return [(0.0, 0.0)] * len(tolerances)
+        gt_pts, gt_radii = resample_tree(gt, step)
+        rec_pts, _ = resample_tree(recon, step)
+    if rec_pts.shape[0] == 0:
+        return [(0.0, 0.0)] * len(tolerances)
+    if gt_pts.shape[0] == 0:
+        return [(math.nan, 1.0)] * len(tolerances)
+    if gt_radii is None:
+        gt_radii = np.zeros(gt_pts.shape[0])
+    d_gt, d_rec, nearest = _nearest(gt_pts, rec_pts)
+    return [_rates(d_gt, d_rec, nearest, tol.for_radii(gt_radii))
+            for tol in tolerances]
 
 
 def centerline_roc(gt: GroundTruthTree, recon, tol: MatchTolerance = None,
                    step: float = DEFAULT_STEP):
     """Centerline recall/fall-out between resampled GT and reconstruction."""
-    tol = tol or MatchTolerance()
-    if np.sum(np.asarray(recon.parent) >= 0) == 0:
-        return 0.0, 0.0
-    gt_pts, gt_radii = resample_tree(gt, step)
-    rec_pts, _ = resample_tree(recon, step)
-    return _match_stats(gt_pts, gt_radii, rec_pts, tol)
+    return _roc_rates(gt, recon, [tol or MatchTolerance()], "centerline",
+                      step)[0]
 
 
 def bifurcation_roc(gt: GroundTruthTree, recon, tol: MatchTolerance = None,
@@ -163,14 +201,8 @@ def bifurcation_roc(gt: GroundTruthTree, recon, tol: MatchTolerance = None,
     Recall is NaN (not applicable) when the ground truth has no
     bifurcations.
     """
-    tol = tol or MatchTolerance()
-    gt_bifs = gt.bifurcations
-    rec_nodes = recon.branching_nodes()
-    rec_pts = recon.positions[rec_nodes] if rec_nodes.size else \
-        np.empty((0, 3))
-    gt_pts = gt.positions[gt_bifs] if gt_bifs.size else np.empty((0, 3))
-    gt_radii = gt.radii[gt_bifs] if gt_bifs.size else None
-    return _match_stats(gt_pts, gt_radii, rec_pts, tol)
+    return _roc_rates(gt, recon, [tol or MatchTolerance()], "bifurcation",
+                      step)[0]
 
 
 def _point_along_branch(tree, node, child, distance, children):
@@ -266,32 +298,18 @@ def median_angular_error(gt: GroundTruthTree, recon) -> float:
     return float(np.median(angular_errors(gt, recon)))
 
 
-def recall_at_fallout(points, target_fallout: float) -> float:
-    """Interpolate a curve's recall at a given fall-out, clamped to range."""
-    pts = sorted(((p.fallout, p.recall) for p in points
-                  if not math.isnan(p.recall)))
-    if not pts:
-        return math.nan
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    if target_fallout <= xs[0]:
-        return ys[0]
-    if target_fallout >= xs[-1]:
-        return ys[-1]
-    return float(np.interp(target_fallout, xs, ys))
-
-
 def roc_sweep(gt: GroundTruthTree, recon, scales, kind: str = "bifurcation",
               tol: MatchTolerance = None, step: float = DEFAULT_STEP):
-    """ROC curve by sweeping the matching tolerance scale factor."""
+    """ROC curve by sweeping the matching tolerance scale factor.
+
+    Both trees are resampled and queried once; every scale, in ascending
+    order, is a threshold on the same nearest-point distances.
+    """
     tol = tol or MatchTolerance()
-    metric = bifurcation_roc if kind == "bifurcation" else centerline_roc
-    points = []
-    for scale in sorted(scales):
-        recall, fallout = metric(gt, recon, tol.scaled(scale), step)
-        points.append(RocPoint(threshold=float(scale), recall=recall,
-                               fallout=fallout))
-    return points
+    scales = sorted(scales)
+    rates = _roc_rates(gt, recon, [tol.scaled(s) for s in scales], kind, step)
+    return [RocPoint(threshold=float(scale), recall=recall, fallout=fallout)
+            for scale, (recall, fallout) in zip(scales, rates)]
 
 
 # ---------------------------------------------------------------------------

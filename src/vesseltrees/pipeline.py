@@ -288,8 +288,9 @@ def _evaluate_item(args):
         recon = vio.read_tree(recon_path, cloud=cloud)
         c_recall, c_fallout = centerline_roc(gt, recon, tol, step)
         b_recall, b_fallout = bifurcation_roc(gt, recon, tol)
-        errors = angular_errors(gt, recon)
-        med = float(np.median(errors))
+        # a GT tree without bifurcations has no angles to score
+        errors = angular_errors(gt, recon) if gt.bifurcations.size else []
+        med = _median(errors)
         curves = {
             kind: roc_sweep(gt, recon, scales, kind=kind, tol=tol, step=step)
             for kind in ("centerline", "bifurcation")
@@ -313,6 +314,18 @@ def _evaluate_item(args):
             "connectivity": connectivity,
         })
     return rows
+
+
+def _median(values) -> float:
+    """Median, or NaN for no values (where np.median would warn)."""
+    return float(np.median(values)) if len(values) else math.nan
+
+
+def _nanmean(values) -> float:
+    """Mean of the non-NaN values, or NaN if there are none, quietly."""
+    values = np.asarray(values, dtype=float)
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) \
+        else math.nan
 
 
 def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
@@ -379,12 +392,12 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
         if not group:
             continue
         pooled = [e for r in group for e in r["angular_errors"]]
-        med = float(np.median(pooled))
+        med = _median(pooled)
         agg_rows.append((
             level, float(levels[level]["threshold"]), len(group),
             float(np.mean([r["centerline_recall"] for r in group])),
             float(np.mean([r["centerline_fallout"] for r in group])),
-            float(np.nanmean([r["bifurcation_recall"] for r in group])),
+            _nanmean([r["bifurcation_recall"] for r in group]),
             float(np.mean([r["bifurcation_fallout"] for r in group])),
             med, float(math.degrees(med))))
         for kind in ("centerline", "bifurcation"):
@@ -393,7 +406,7 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
                 fallouts = [r["curves"][kind][i].fallout for r in group]
                 roc_rows[kind].append(
                     (level, float(levels[level]["threshold"]), float(scale),
-                     float(np.nanmean(recalls)), float(np.mean(fallouts))))
+                     _nanmean(recalls), float(np.mean(fallouts))))
         with_conn = [r for r in group if r["connectivity"] is not None]
         for r in with_conn:
             conn_rows.append((r["id"], level,

@@ -7,12 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from vesseltrees.geometry import (
+    ALPHA_DEGENERATE,
     DegenerateInputError,
     OrientedSample,
     arc_end_tangent,
     arc_points,
     arc_weight,
     batch_arc_geometry,
+    batch_arc_points,
     batch_confluence_angles,
     batch_shorter_arc_lengths,
     cocircularity_angle,
@@ -319,6 +321,100 @@ def test_batch_kernels_match_scalar_path():
         else:
             expect = arc.chord_len
         assert short[i] == pytest.approx(expect)
+
+
+def tangent_at_alpha(rng, chord_dir, alpha):
+    """Unit tangent at angle ``alpha`` from ``chord_dir``, random plane."""
+    n = random_units(rng, 1)[0]
+    n -= np.dot(n, chord_dir) * chord_dir
+    n /= np.linalg.norm(n)
+    t = math.cos(alpha) * chord_dir + math.sin(alpha) * n
+    return t / np.linalg.norm(t)
+
+
+def assert_rows_match_scalar(p_pos, p_tan, q_pos, s, rel):
+    got = batch_arc_points(p_pos, p_tan, q_pos, s)
+    assert got.shape == (len(s), 3)
+    for i in range(len(s)):
+        ref = arc_points(p_pos[i], p_tan[i], q_pos[i], s[i])[0]
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        np.testing.assert_allclose(got[i], ref, rtol=0, atol=rel * scale)
+
+
+def test_batch_arc_points_match_scalar_oracle():
+    rng = np.random.default_rng(47)
+    n = 400
+    p_pos = rng.uniform(-4, 4, (n, 3))
+    q_pos = rng.uniform(-4, 4, (n, 3))
+    chord_dir = (q_pos - p_pos) / np.linalg.norm(q_pos - p_pos, axis=1,
+                                                 keepdims=True)
+    p_tan = random_units(rng, n)
+    # exactly along the chord (straight limit) and 1e-3 rad below the
+    # degenerate limit
+    p_tan[:40] = chord_dir[:40]
+    for i in range(40, 80):
+        p_tan[i] = tangent_at_alpha(rng, chord_dir[i],
+                                    ALPHA_DEGENERATE - 1e-3)
+    s = rng.uniform(0, 1, n)
+    s[::3] = 0.0
+    s[1::3] = 1.0
+    assert_rows_match_scalar(p_pos, p_tan, q_pos, s, rel=1e-9)
+    got = batch_arc_points(p_pos, p_tan, q_pos, s)
+    np.testing.assert_allclose(got[s == 0.0], p_pos[s == 0.0], atol=1e-9)
+    np.testing.assert_allclose(got[s == 1.0], q_pos[s == 1.0], atol=1e-9)
+
+
+def test_batch_arc_points_ill_conditioned_limits():
+    # Both kernels take alpha = acos(cos_a). Closer to the degenerate limit
+    # the radius d / (2 sin alpha) amplifies its rounding by about
+    # eps / (pi - alpha)^2; they agree to that shared conditioning.
+    rng = np.random.default_rng(53)
+    eps = np.finfo(float).eps
+    for gap in (1e-4, 1e-5, 1e-7):
+        n = 30
+        p_pos = rng.uniform(-4, 4, (n, 3))
+        q_pos = rng.uniform(-4, 4, (n, 3))
+        e = (q_pos - p_pos) / np.linalg.norm(q_pos - p_pos, axis=1,
+                                             keepdims=True)
+        p_tan = np.array([tangent_at_alpha(rng, e[i], ALPHA_DEGENERATE - gap)
+                          for i in range(n)])
+        s = rng.uniform(0, 1, n)
+        rel = 10 * eps / (math.pi - ALPHA_DEGENERATE + gap) ** 2
+        assert_rows_match_scalar(p_pos, p_tan, q_pos, s, rel=rel)
+    # 1e-10 rad off the chord, cos_a rounds to 1 or to a few ulps below,
+    # so alpha is 0 (the chord) or about sqrt(eps): an arc whose sagitta,
+    # and whose cancellation error in the radius-1/alpha formula, are each
+    # below sqrt(eps) chord lengths. The points agree to that size.
+    n = 60
+    p_pos = rng.uniform(-4, 4, (n, 3))
+    q_pos = rng.uniform(-4, 4, (n, 3))
+    e = (q_pos - p_pos) / np.linalg.norm(q_pos - p_pos, axis=1,
+                                         keepdims=True)
+    p_tan = np.array([tangent_at_alpha(rng, e[i], 1e-10) for i in range(n)])
+    s = rng.uniform(0, 1, n)
+    got = batch_arc_points(p_pos, p_tan, q_pos, s)
+    assert np.all(np.isfinite(got))
+    for i in range(n):
+        ref = arc_points(p_pos[i], p_tan[i], q_pos[i], s[i])[0]
+        size = 2 * math.sqrt(eps) * np.linalg.norm(q_pos[i] - p_pos[i])
+        np.testing.assert_allclose(got[i], ref, rtol=0, atol=size)
+
+
+def test_batch_arc_points_degenerate_rows_raise():
+    p_pos = np.array([[0.0, 0, 0], [1.0, 2, 3]])
+    q_pos = np.array([[1.0, 0, 0], [1.0, 2, 3]])
+    p_tan = np.array([[1.0, 0, 0], [0.0, 1, 0]])
+    with pytest.raises(DegenerateInputError):
+        arc_points(p_pos[1], p_tan[1], q_pos[1], 0.5)
+    with pytest.raises(DegenerateInputError):
+        batch_arc_points(p_pos, p_tan, q_pos, [0.5, 0.5])
+    # second row anti-parallel: the tangent points straight away from q
+    q_pos[1] = [3.0, 2, 3]
+    p_tan[1] = [-1.0, 0, 0]
+    with pytest.raises(DegenerateInputError):
+        arc_points(p_pos[1], p_tan[1], q_pos[1], 0.5)
+    with pytest.raises(DegenerateInputError):
+        batch_arc_points(p_pos, p_tan, q_pos, [0.5, 0.5])
 
 
 def test_oriented_sample_validation():

@@ -126,3 +126,17 @@ def test_neighbor_pairs_round_trip(tmp_path):
     write_neighbor_pairs(path, system)
     back = read_neighbor_pairs(path)
     np.testing.assert_array_equal(back.pairs, system.pairs)
+
+
+def test_neighbor_pairs_header_only_and_malformed(tmp_path, recwarn):
+    path = tmp_path / "pairs.csv"
+    path.write_text("u,v\n")
+    back = read_neighbor_pairs(path)
+    assert back.pairs.shape == (0, 2)
+    assert back.pairs.dtype == np.int64
+    assert len(recwarn) == 0
+    for body in ("u,v\n0,1\n2,x\n", "u,v\n0,1,2\n", "u,v\n0\n",
+                 "u,v\n0,1\n2\n"):
+        path.write_text(body)
+        with pytest.raises(ValueError):
+            read_neighbor_pairs(path)

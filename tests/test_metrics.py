@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vesseltrees.graphs import NeighborSystem, knn_neighbors, build_confluent_graph
-from vesseltrees.geometry import SampleCloud
+from vesseltrees.geometry import SampleCloud, arc_points
 from vesseltrees.metrics import (
     MatchTolerance,
     RocPoint,
@@ -179,6 +179,88 @@ def test_roc_sweep_monotone_in_tolerance():
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(fallouts, fallouts[1:]))
         assert [p.threshold for p in curve] == sorted(scales)
+
+
+def arc_recon(n_leaves=8, seed=2):
+    """GT plus a confluent reconstruction whose edges are arcs."""
+    gt = generate_tree(n_leaves=n_leaves, domain_size=80.0, seed=seed)
+    cloud = sample_centerline(tree=gt, cfg=SamplerConfig(
+        position_noise_std=0.3, tangent_noise_std_rad=0.2, seed=seed))
+    neighbors = knn_neighbors(cloud, k=min(40, len(cloud) - 1))
+    graph = build_confluent_graph(cloud, neighbors, epsilon=math.pi / 2)
+    root = int(np.argmin(np.linalg.norm(
+        cloud.positions - gt.positions[gt.root], axis=1)))
+    return gt, minimum_arborescence(graph, root)
+
+
+def reference_resample(tree, step):
+    """Edge-by-edge resampling with the scalar arc kernel."""
+    stored = getattr(tree, "edge_length", None)
+    tangents = getattr(tree, "edge_start_tangent", None)
+    radii = getattr(tree, "radii", None)
+    pts, rads = [], []
+    for child in np.flatnonzero(tree.parent >= 0):
+        a = int(tree.parent[child])
+        p, q = tree.positions[a], tree.positions[child]
+        length = float(np.linalg.norm(q - p))
+        if stored is not None and math.isfinite(stored[child]):
+            length = float(stored[child])
+        n = max(1, math.ceil(length / step))
+        fracs = np.arange(n + 1) / n
+        if tangents is not None and np.all(np.isfinite(tangents[child])):
+            pts.append(arc_points(p, tangents[child], q, fracs))
+        else:
+            pts.append(p + fracs[:, None] * (q - p))
+        if radii is not None:
+            rads.append((1 - fracs) * radii[a] + fracs * radii[child])
+    return (np.concatenate(pts),
+            np.concatenate(rads) if radii is not None else None)
+
+
+def test_resample_tree_matches_per_edge_reference():
+    gt, recon = arc_recon()
+    assert recon.edge_start_tangent is not None
+    for tree in (gt, recon, straight_tree(gt)):
+        for step in (0.25, 0.9):
+            pts, radii = resample_tree(tree, step)
+            ref_pts, ref_radii = reference_resample(tree, step)
+            assert pts.shape == ref_pts.shape
+            np.testing.assert_allclose(pts, ref_pts, rtol=0, atol=1e-9)
+            if ref_radii is None:
+                assert radii is None
+            else:
+                np.testing.assert_array_equal(radii, ref_radii)
+
+
+def same_rates(got, want):
+    """Exact equality of (recall, fallout) pairs, NaN equal to NaN."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            assert x == y or (math.isnan(x) and math.isnan(y)), (got, want)
+
+
+def test_roc_sweep_equals_single_scale_calls():
+    gt, recon = arc_recon()
+    empty = VesselTree(root=recon.root, parent=np.where(
+        np.arange(recon.parent.size) == recon.root, NO_PARENT, -2),
+        positions=recon.positions, edge_weight=recon.edge_weight,
+        edge_alpha=recon.edge_alpha, edge_length=recon.edge_length,
+        total_weight=0.0)
+    path = GroundTruthTree(positions=[[0, 0, 0], [5, 0, 0], [10, 0, 0]],
+                           radii=[1, 1, 1], parent=[-1, 0, 1],
+                           domain_size=20.0)
+    cases = [(gt, recon), (gt, empty), (path, recon),
+             (path, straight_tree(path))]
+    tol = MatchTolerance(zeta=0.6)
+    scales = [2.0, 0.5, 1.0, 0.5, 4.0, 1.0]
+    for g, r in cases:
+        for kind, single in (("centerline", centerline_roc),
+                             ("bifurcation", bifurcation_roc)):
+            curve = roc_sweep(g, r, scales, kind=kind, tol=tol, step=0.3)
+            assert [p.threshold for p in curve] == sorted(scales)
+            want = [single(g, r, tol.scaled(s), 0.3) for s in sorted(scales)]
+            same_rates([(p.recall, p.fallout) for p in curve], want)
 
 
 def test_rocpoint_range_validation():

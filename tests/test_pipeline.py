@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior on small synthetic data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph, \
     knn_neighbors
 from vesseltrees.metrics import MatchTolerance, centerline_roc, \
     median_angular_error
-from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud, \
-    resolve_root
+from vesseltrees.io import read_csv
+from vesseltrees.pipeline import PipelineConfig, evaluate_corpus, \
+    reconstruct_corpus, reconstruct_cloud, resolve_root, synth_corpus
 from vesseltrees.solvers import minimum_arborescence, minimum_spanning_tree
 from vesseltrees.synth import SamplerConfig, generate_tree, sample_centerline
 
@@ -105,3 +107,44 @@ def test_geodesic_mode_runs_end_to_end():
     recall, _ = centerline_roc(gt, tree)
     assert recall >= 0.95
     assert stats["mode"] == "geodesic"
+
+
+def write_path_tree(path, start):
+    """Hand-written ground truth: a three-node path with no bifurcation."""
+    x, y, z = start
+    rows = [f"0 -1 {x!r} {y!r} {z!r} 1.0",
+            f"1 0 {x + 10.0!r} {y!r} {z!r} 1.0",
+            f"2 1 {x + 20.0!r} {y + 5.0!r} {z!r} 1.0"]
+    path.write_text("# domain_size 50.0\nroot 0\n" + "\n".join(rows) + "\n")
+
+
+def test_evaluate_corpus_scores_gt_without_bifurcations(tmp_path):
+    corpus, run, out = tmp_path / "corpus", tmp_path / "run", tmp_path / "ev"
+    manifest = synth_corpus(corpus, n_trees=2, n_leaves=4, domain_size=50.0,
+                            seed=3)
+    reconstruct_corpus(corpus, run, PipelineConfig(k=40))
+    path_item = manifest["items"][1]
+    write_path_tree(corpus / path_item["tree"], path_item["root_position"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = evaluate_corpus(corpus, run, out)
+    by_id = {r["id"]: r for r in rows}
+    assert by_id[1]["angular_errors"] == []
+    assert math.isnan(by_id[1]["median_angular_error_rad"])
+    assert math.isnan(by_id[1]["bifurcation_recall"])
+    assert len(by_id[0]["angular_errors"]) > 0
+    _, agg = read_csv(out / "aggregate.csv")
+    assert float(agg[0][5]) == by_id[0]["bifurcation_recall"]
+    assert float(agg[0][7]) == pytest.approx(
+        float(np.median(by_id[0]["angular_errors"])))
+
+    # with no bifurcation anywhere the pooled values are NaN, still quietly
+    write_path_tree(corpus / manifest["items"][0]["tree"],
+                    manifest["items"][0]["root_position"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate_corpus(corpus, run, out)
+    _, agg = read_csv(out / "aggregate.csv")
+    assert math.isnan(float(agg[0][5])) and math.isnan(float(agg[0][7]))
+    _, roc = read_csv(out / "roc_bifurcation.csv")
+    assert all(math.isnan(float(row[3])) for row in roc)
