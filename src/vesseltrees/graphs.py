@@ -23,7 +23,6 @@ from scipy.spatial import cKDTree
 
 from .geometry import (
     COINCIDENT_TOL,
-    FlowArc,
     SampleCloud,
     batch_arc_geometry,
     batch_confluence_angles,
@@ -77,7 +76,9 @@ def _rowwise_sorted(dist, idx):
 
     scipy returns rows sorted by distance but leaves equal-distance ties in
     an unspecified order; sorting on the index as a secondary key makes
-    neighborhoods reproducible on gridded inputs.
+    neighborhoods reproducible on gridded inputs. ``knn_neighbors`` needs
+    this only for crowded rows, whose last column is dropped;
+    ``anisotropic_knn`` re-ranks every row by its rescored distance.
     """
     rows, cols = dist.shape
     row_key = np.repeat(np.arange(rows), cols)
@@ -96,12 +97,25 @@ def _decode_pairs(codes, n):
     return np.stack([codes // n, codes % n], axis=1)
 
 
+def _sorted_unique(codes):
+    """``np.unique`` for a 1-D integer array: one sort and a mask."""
+    codes = np.sort(codes)
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first]
+
+
 def knn_neighbors(samples, k: int) -> NeighborSystem:
     """Symmetrized k-nearest-neighbor pairs under Euclidean distance.
 
-    Uses a k-d tree, so the construction is O(K |V| log |V|). Ties are
-    broken by node index for reproducibility; ``k`` is clamped to |V| - 1
-    with a warning when too large.
+    Uses a k-d tree, so the construction is O(K |V| log |V|). A row that
+    holds its own index keeps all k other neighbors of the k + 1 queried.
+    Only a crowded row, where more than k + 1 coincident samples push the
+    query point out of its own result, needs a tie-break: it keeps the k
+    smallest of its row by (distance, index). Which of several samples tied
+    at the last queried distance enter a row is the k-d tree's choice, not
+    the lowest index. ``k`` is clamped to |V| - 1 with a warning when too
+    large.
     """
     cloud = as_cloud(samples)
     n = len(cloud)
@@ -113,15 +127,14 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
     for lo in range(0, n, _QUERY_CHUNK):
         hi = min(lo + _QUERY_CHUNK, n)
         dist, idx = tree.query(cloud.positions[lo:hi], k=k + 1, workers=-1)
-        dist, idx = _rowwise_sorted(dist, idx)
         rows = np.arange(lo, hi)
         keep = idx != rows[:, None]
-        # drop self, then keep the k nearest of what remains
-        ranked = np.where(keep, np.arange(k + 1)[None, :], k + 1)
-        take = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-        nbr = np.take_along_axis(idx, take, axis=1)
-        codes.append(_encode_pairs(np.repeat(rows, k), nbr.ravel(), n))
-    pairs = _decode_pairs(np.unique(np.concatenate(codes)), n)
+        crowded = np.flatnonzero(keep.all(axis=1))
+        if crowded.size:
+            _, idx[crowded] = _rowwise_sorted(dist[crowded], idx[crowded])
+            keep[crowded, -1] = False
+        codes.append(_encode_pairs(np.repeat(rows, k), idx[keep], n))
+    pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
     return NeighborSystem(k=k, pairs=pairs, flavor="isotropic")
 
 
@@ -158,7 +171,7 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
         maha, idx = _rowwise_sorted(maha, idx)
         nbr = idx[:, :k_final]
         codes.append(_encode_pairs(np.repeat(rows, k_final), nbr.ravel(), n))
-    pairs = _decode_pairs(np.unique(np.concatenate(codes)), n)
+    pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
     return NeighborSystem(k=k_final, pairs=pairs, flavor="anisotropic",
                           aspect_ratio_sq=aspect_ratio_sq)
 
@@ -203,20 +216,6 @@ class TubularGraph:
             self.samples.positions[heads])
         return alpha, length, end_tan
 
-    def arc(self, i: int) -> FlowArc:
-        if self.mode != "confluent":
-            raise ValueError("per-arc geometry is only defined for "
-                             "confluent graphs")
-        t, h = int(self.tails[i]), int(self.heads[i])
-        alpha, length, end_tan = self.arc_geometry([t], [h])
-        conf = batch_confluence_angles(end_tan, self.samples.tangents[[h]])
-        chord = float(np.linalg.norm(self.samples.positions[h]
-                                     - self.samples.positions[t]))
-        return FlowArc(start=t, end=h, chord_len=chord, alpha=float(alpha[0]),
-                       length=float(length[0]), end_tangent=end_tan[0],
-                       confluence_angle=float(conf[0]),
-                       weight=float(self.weights[i]))
-
 
 def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
                           elastic_lambda: float = 0.0) -> TubularGraph:
@@ -252,7 +251,9 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
     tails = np.concatenate(out_t) if out_t else np.empty(0, np.int32)
     heads = np.concatenate(out_h) if out_h else np.empty(0, np.int32)
     weights = np.concatenate(out_w) if out_w else np.empty(0, float)
-    order = np.lexsort((heads, tails))
+    # (tail, head) pairs are unique, so sorting this one int64 key gives
+    # the (tail, head) lexsort order
+    order = np.argsort(tails.astype(np.int64) * len(cloud) + heads)
     return TubularGraph(cloud, tails[order], heads[order], weights[order],
                         mode="confluent", epsilon=epsilon,
                         elastic_lambda=elastic_lambda)

@@ -101,13 +101,17 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     """Neighbors -> graph -> tree for one cloud; returns the run record."""
     started = time.perf_counter()
     neighbors = build_neighbors(cloud, cfg)
+    built_neighbors = time.perf_counter()
     if cfg.mode == "confluent":
         graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
                                       elastic_lambda=cfg.elastic_lambda)
+        built_graph = time.perf_counter()
         tree = minimum_arborescence(graph, root)
     else:
         graph = build_geodesic_graph(cloud, neighbors)
+        built_graph = time.perf_counter()
         tree = minimum_spanning_tree(graph, root)
+    solved = time.perf_counter()
     stats = {
         "mode": cfg.mode,
         "root": int(root),
@@ -117,7 +121,10 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         "n_tree_nodes": int(tree.n_nodes),
         "n_excluded": int(tree.excluded.size),
         "total_weight": float(tree.total_weight),
-        "wall_time_s": time.perf_counter() - started,
+        "neighbors_s": built_neighbors - started,
+        "graph_s": built_graph - built_neighbors,
+        "solve_s": solved - built_graph,
+        "wall_time_s": solved - started,
     }
     return tree, stats, neighbors
 

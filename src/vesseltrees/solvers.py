@@ -1,12 +1,15 @@
 """Exact tree solvers: minimum arborescence and minimum spanning tree.
 
 The arborescence solver is the classic cycle-contraction algorithm on
-sparse arc arrays. Per round the minimum entering arc of every supernode is
-selected with one vectorized pass; cycles among those selections are
-contracted simultaneously and the round repeats. Contraction records are
-replayed in reverse to expand the optimum back to original nodes. This is
-the O(|A| |V|) worst case, but rounds are few on vessel-like data, so 1e5
-nodes with ~1e7-1e8 arcs solve in seconds.
+sparse arc arrays. Each round selects the minimum entering arc of every
+supernode with two O(|A|) scatter-min passes, one over weights and one over
+arc indices among the tied arcs, so no round sorts. Cycles among those
+selections are contracted simultaneously and the round repeats.
+Contraction records are replayed in reverse to expand the optimum back to
+original nodes. This is the O(|A| |V|) worst case, but rounds are few on
+vessel-like data: 4.8k nodes with 1.5M arcs (K=500) solve in about 0.1 s on
+a 2-core x86 machine. The spanning tree is scipy's Kruskal on each edge's
+(weight, index) rank.
 
 Ties are broken by lowest arc index everywhere, which makes both solvers
 deterministic for a given input ordering.
@@ -20,11 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
 
 from .graphs import TubularGraph
 
 NO_PARENT = -1   # tree root
 EXCLUDED = -2    # node not part of the tree
+_NO_ARC = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -74,20 +79,31 @@ class VesselTree:
         return ids[counts >= 2]
 
     def validate(self):
-        """Check the tree invariants; raises ValueError on violation."""
-        n = self.parent.shape[0]
-        if not 0 <= self.root < n or self.parent[self.root] != NO_PARENT:
+        """Check the tree invariants; raises ValueError on violation.
+
+        One breadth-first pass down the parent links from the root: the
+        map is a rooted tree exactly when it reaches every node that is not
+        excluded.
+        """
+        parent = self.parent
+        n = parent.shape[0]
+        if not 0 <= self.root < n or parent[self.root] != NO_PARENT:
             raise ValueError("root must map to no parent")
-        for v in self.node_ids():
-            x, steps = int(v), 0
-            while self.parent[x] >= 0:
-                x = int(self.parent[x])
-                steps += 1
-                if steps > n:
-                    raise ValueError("cycle detected in parent map")
-            if x != self.root:
+        child = np.flatnonzero(parent >= 0)
+        # Virtual node n adopts every parentless node other than the root,
+        # so the nodes it reaches are those whose walk up ends off the root.
+        orphans = np.flatnonzero(parent < 0)
+        orphans = orphans[orphans != self.root]
+        tails = np.concatenate([parent[child], np.full(orphans.size, n)])
+        heads = np.concatenate([child, orphans])
+        stray = (parent != EXCLUDED) & ~_reachable_mask(
+            n + 1, tails, heads, self.root)[:n]
+        if stray.any():
+            v = int(np.argmax(stray))
+            if _reachable_mask(n + 1, tails, heads, n)[v]:
                 raise ValueError(f"node {v} does not reach the root")
-        edge_w = self.edge_weight[self.parent >= 0]
+            raise ValueError("cycle detected in parent map")
+        edge_w = self.edge_weight[parent >= 0]
         if not np.isclose(np.sum(edge_w), self.total_weight, rtol=1e-9,
                           atol=1e-9):
             raise ValueError("total_weight does not match edge weights")
@@ -169,18 +185,21 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     next_id = n_nodes
 
     while True:
-        order = np.lexsort((arc_ids, adj_w, cur_h))
-        h_sorted = cur_h[order]
-        is_first = np.ones(h_sorted.size, dtype=bool)
-        is_first[1:] = h_sorted[1:] != h_sorted[:-1]
-        sel_pos = order[is_first]
-        sel_heads = cur_h[sel_pos]
+        # Entering arc of every head: least weight, then lowest arc index.
+        # arc_ids stays ascending through every filter, so searchsorted
+        # maps the chosen ids back to positions.
+        best_w = np.full(next_id, np.inf)
+        np.minimum.at(best_w, cur_h, adj_w)
+        tied = adj_w == best_w[cur_h]
+        first_id = np.full(next_id, _NO_ARC, dtype=np.int64)
+        np.minimum.at(first_id, cur_h[tied], arc_ids[tied])
+        sel_heads = np.flatnonzero(first_id != _NO_ARC)
+        sel_pos = np.searchsorted(arc_ids, first_id[sel_heads])
 
         succ = dict(zip(sel_heads.tolist(), cur_t[sel_pos].tolist()))
         sel_of = dict(zip(sel_heads.tolist(), sel_pos.tolist()))
         cycles = _find_cycles(succ, root)
         if not cycles:
-            chosen = {h: int(arc_ids[p]) for h, p in sel_of.items()}
             break
 
         remap = np.arange(next_id + len(cycles), dtype=np.int64)
@@ -195,8 +214,6 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
                 remap[m] = new_id
                 in_cycle[m] = True
 
-        best_w = np.empty(next_id, dtype=float)
-        best_w[sel_heads] = adj_w[sel_pos]
         adjust = in_cycle[cur_h]
         adj_w[adjust] -= best_w[cur_h[adjust]]
         cur_t = remap[cur_t]
@@ -206,8 +223,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
                                         cur_h[alive], adj_w[alive])
 
     enter_sel = np.full(next_id, -1, dtype=np.int64)
-    for h, a in chosen.items():
-        enter_sel[h] = a
+    enter_sel[sel_heads] = arc_ids[sel_pos]
     for new_id, members, enter in reversed(records):
         a = int(enter_sel[new_id])
         x = int(heads[a])
@@ -217,55 +233,33 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
             enter_sel[m] = a if m == x else enter[m]
 
     nodes = np.flatnonzero(reach)
-    for v in nodes:
-        if v == root:
-            continue
-        a = int(enter_sel[v])
-        arc_index[v] = a
-        parent[v] = tails[a]
+    nodes = nodes[nodes != root]
+    arc_index[nodes] = enter_sel[nodes]
+    parent[nodes] = tails[arc_index[nodes]]
     return parent, arc_index
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def kruskal_forest(n_nodes, us, vs, weights):
-    """Indices of the minimum spanning forest edges (ties by edge index)."""
+    """Indices of the minimum spanning forest edges (ties by edge index).
+
+    Each edge is weighted by its 1-based rank in (weight, index) order, so
+    the forest is unique and scipy's Kruskal returns the one the tie-break
+    defines. Of edges joining the same two nodes only the lowest-ranked can
+    be chosen, so the rest are dropped before the sparse matrix would sum
+    them. Edges come back in rank order.
+    """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
-    finite = np.isfinite(weights) & (us != vs)
     order = np.lexsort((np.arange(weights.size), weights))
-    order = order[finite[order]]
-    uf = _UnionFind(n_nodes)
-    chosen = []
-    for e in order.tolist():
-        if uf.union(int(us[e]), int(vs[e])):
-            chosen.append(e)
-            if len(chosen) == n_nodes - 1:
-                break
-    return np.asarray(chosen, dtype=np.int64)
+    order = order[np.isfinite(weights[order]) & (us[order] != vs[order])]
+    key = np.minimum(us, vs)[order] * n_nodes + np.maximum(us, vs)[order]
+    _, first = np.unique(key, return_index=True)
+    edges = order[np.sort(first)]
+    rank = np.arange(1, edges.size + 1, dtype=float)
+    forest = csgraph_mst(csr_matrix((rank, (us[edges], vs[edges])),
+                                    shape=(n_nodes, n_nodes)))
+    return edges[np.sort(forest.data).astype(np.int64) - 1]
 
 
 def _tree_from_parent(graph: TubularGraph, parent, arc_index, root,
@@ -324,25 +318,19 @@ def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
     if not 0 <= root < n:
         raise ValueError(f"root index {root} out of range [0, {n})")
     chosen = kruskal_forest(n, graph.tails, graph.heads, graph.weights)
-
-    adjacency = {}
-    for e in chosen.tolist():
-        u, v = int(graph.tails[e]), int(graph.heads[e])
-        adjacency.setdefault(u, []).append((v, e))
-        adjacency.setdefault(v, []).append((u, e))
+    u = graph.tails[chosen].astype(np.int64)
+    v = graph.heads[chosen].astype(np.int64)
+    forest = csr_matrix((np.ones(chosen.size), (u, v)), shape=(n, n))
+    _, pred = breadth_first_order(forest, root, directed=False,
+                                  return_predecessors=True)
     parent = np.full(n, EXCLUDED, dtype=np.int64)
     arc_index = np.full(n, -1, dtype=np.int64)
     parent[root] = NO_PARENT
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, e in adjacency.get(u, ()):
-                if parent[v] == EXCLUDED and v != root:
-                    parent[v] = u
-                    arc_index[v] = e
-                    nxt.append(v)
-        frontier = nxt
+    down = pred[v] == u          # edge u -> v points away from the root
+    linked = down | (pred[u] == v)
+    child = np.where(down, v, u)[linked]
+    parent[child] = pred[child]
+    arc_index[child] = chosen[linked]
     if n > 1 and np.sum(parent >= 0) == 0:
         warnings.warn("root is isolated; returning a single-node tree")
     return _tree_from_parent(graph, parent, arc_index, root, directed=False)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vesseltrees import graphs
 from vesseltrees.geometry import OrientedSample, SampleCloud, fit_arc, arc_weight
 from vesseltrees.graphs import (
     anisotropic_knn,
@@ -36,6 +37,97 @@ def brute_force_knn_pairs(positions, k):
         for _, j in order[:k]:
             out.add((min(i, j), max(i, j)))
     return out
+
+
+def brute_force_anisotropic_pairs(positions, tangents, k_final, k_candidate,
+                                  aspect_ratio_sq):
+    """Per node: the k_candidate + 1 nearest by (distance, index), rescored
+    by the tangent-aligned distance, self excluded, best k_final by
+    (rescored distance, index)."""
+    n = positions.shape[0]
+    out = set()
+    for i in range(n):
+        d = np.linalg.norm(positions - positions[i], axis=1)
+        cand = np.lexsort((np.arange(n), d))[:k_candidate + 1]
+        d_par = (positions[cand] - positions[i]) @ tangents[i]
+        maha = (d[cand] * d[cand]
+                - d_par * d_par * (1.0 - 1.0 / aspect_ratio_sq))
+        maha[cand == i] = np.inf
+        for j in cand[np.lexsort((cand, maha))][:k_final].tolist():
+            out.add((min(i, j), max(i, j)))
+    return out
+
+
+class _TieScramblingTree:
+    """Exact stand-in for ``cKDTree``: returns the k nearest by (distance,
+    index), but lists equal distances highest index first. scipy leaves
+    that order unspecified, so the tie-break must not depend on it."""
+
+    def __init__(self, positions):
+        self.positions = np.asarray(positions, dtype=float)
+
+    def query(self, points, k, workers=1):
+        dist, idx = [], []
+        for p in points:
+            d = np.linalg.norm(self.positions - p, axis=1)
+            near = np.lexsort((np.arange(d.size), d))[:k]
+            near = near[np.lexsort((-near, d[near]))]
+            dist.append(d[near])
+            idx.append(near)
+        return np.array(dist), np.array(idx)
+
+
+def crowded_lattice_cloud(rng, g, crowd):
+    """Integer g^3 lattice plus ``crowd`` extra copies of one lattice point,
+    shuffled, with axis-aligned tangents (so rescored distances are exact)."""
+    grid = np.stack(np.meshgrid(*[np.arange(g)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3).astype(float)
+    copies = np.repeat(grid[rng.integers(len(grid))][None, :], crowd, axis=0)
+    pos = np.concatenate([grid, copies])[rng.permutation(len(grid) + crowd)]
+    tan = np.zeros_like(pos)
+    tan[np.arange(len(pos)), rng.integers(0, 3, len(pos))] = rng.choice(
+        [-1.0, 1.0], len(pos))
+    return SampleCloud(pos, tan)
+
+
+def test_knn_tie_break_matches_brute_force_on_lattices(monkeypatch):
+    # At least k + 2 coincident samples crowd some of them out of their
+    # own query result; those rows keep the k smallest (distance, index).
+    monkeypatch.setattr(graphs, "cKDTree", _TieScramblingTree)
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        g = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 9))
+        crowd = k + 1 + int(rng.integers(0, 4))
+        cloud = crowded_lattice_cloud(rng, g, crowd)
+        system = knn_neighbors(cloud, k=k)
+        assert pairs_set(system) == brute_force_knn_pairs(cloud.positions, k)
+        k_final = int(rng.integers(1, k + 1))
+        ratio = float(rng.choice([1.0, 4.0, 10.0]))
+        ani = anisotropic_knn(cloud, k_final=k_final, k_candidate=k,
+                              aspect_ratio_sq=ratio)
+        assert pairs_set(ani) == brute_force_anisotropic_pairs(
+            cloud.positions, cloud.tangents, k_final, k, ratio)
+        for system in (system, ani):
+            pairs = system.pairs
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert np.all(np.diff(pairs[:, 0] * len(cloud) + pairs[:, 1]) > 0)
+
+
+def test_crowded_samples_pair_among_themselves():
+    # Real kd-tree: which coincident samples a query returns is its choice,
+    # but each of them must keep k partners that coincide with it.
+    rng = np.random.default_rng(13)
+    k = 4
+    cloud = crowded_lattice_cloud(rng, 3, crowd=k + 3)
+    _, inverse, counts = np.unique(cloud.positions, axis=0,
+                                   return_inverse=True, return_counts=True)
+    coincident = counts[inverse] > 1
+    assert coincident.sum() == k + 4
+    pairs = knn_neighbors(cloud, k=k).pairs
+    inside = pairs[coincident[pairs[:, 0]] & coincident[pairs[:, 1]]]
+    degree = np.bincount(inside.ravel(), minlength=len(cloud))
+    assert np.all(degree[coincident] >= k)
 
 
 def test_collinear_three_points_k1():

@@ -107,6 +107,9 @@ def test_geodesic_mode_runs_end_to_end():
     recall, _ = centerline_roc(gt, tree)
     assert recall >= 0.95
     assert stats["mode"] == "geodesic"
+    stages = [stats[key] for key in ("neighbors_s", "graph_s", "solve_s")]
+    assert min(stages) >= 0.0
+    assert sum(stages) == pytest.approx(stats["wall_time_s"])
 
 
 def write_path_tree(path, start):

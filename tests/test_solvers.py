@@ -11,6 +11,7 @@ from vesseltrees.graphs import TubularGraph
 from vesseltrees.solvers import (
     EXCLUDED,
     NO_PARENT,
+    VesselTree,
     chu_liu_edmonds,
     kruskal_forest,
     minimum_arborescence,
@@ -180,6 +181,46 @@ def test_random_small_graphs_match_brute_force():
         assert spanned == reach
 
 
+def test_tied_weights_pick_lowest_arc_index():
+    # Every arc has a parallel copy at a higher index. Round one selects
+    # 2 -> 1 and 1 -> 2 and contracts that cycle; round two enters it with
+    # four arcs tied at adjusted weight 3 and must take arc 3. Entering at
+    # 2 instead (arc 6) gives the same total of 4.
+    tails = [0, 2, 1, 0, 2, 1, 0, 0, 3, 0, 1]
+    heads = [3, 1, 2, 1, 1, 2, 2, 1, 1, 3, 3]
+    weights = [2.0, 0.0, 1.0, 3.0, 0.0, 1.0, 4.0, 3.0, 3.0, 2.0, 0.0]
+    parent, arc_index = chu_liu_edmonds(4, tails, heads, weights, 0)
+    assert arc_index.tolist() == [-1, 3, 2, 10]
+    assert parent.tolist() == [NO_PARENT, 0, 1, 1]
+    (best, _), _ = brute_force_arborescence(4, tails, heads, weights, 0)
+    assert arrays_to_tree_weight(parent, arc_index, weights) == best == 4.0
+
+
+def test_parallel_tied_arcs_resolve_to_lowest_index():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        mask = rng.random((n, n)) < 0.6
+        np.fill_diagonal(mask, False)
+        tails, heads = np.nonzero(mask)
+        weights = rng.integers(0, 4, size=tails.size).astype(float)
+        copies = rng.random(tails.size) < 0.5
+        tails = np.concatenate([tails, tails[copies]])
+        heads = np.concatenate([heads, heads[copies]])
+        weights = np.concatenate([weights, weights[copies]])
+        perm = rng.permutation(tails.size)
+        tails, heads, weights = tails[perm], heads[perm], weights[perm]
+        parent, arc_index = chu_liu_edmonds(n, tails, heads, weights, 0)
+        (best, _), _ = brute_force_arborescence(n, tails, heads, weights, 0)
+        got = arrays_to_tree_weight(parent, arc_index, weights)
+        assert got == (0.0 if best is None else best)
+        for v in np.flatnonzero(arc_index >= 0):
+            a = arc_index[v]
+            same = np.flatnonzero((tails == tails[a]) & (heads == v)
+                                  & (weights == weights[a]))
+            assert a == same.min()
+
+
 def test_deterministic_under_weight_scaling():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -201,6 +242,10 @@ def test_kruskal_path_and_triangle():
     # triangle with weights 1,2,3 -> keeps edges 1 and 2
     chosen = kruskal_forest(3, [0, 1, 0], [1, 2, 2], [1.0, 2.0, 3.0])
     assert sorted(chosen.tolist()) == [0, 1]
+    # parallel and reversed copies of an edge: only the cheapest counts
+    chosen = kruskal_forest(3, [0, 0, 1, 1], [1, 1, 0, 2],
+                            [2.0, 1.0, 1.0, 3.0])
+    assert chosen.tolist() == [1, 3]
 
 
 def test_random_msts_match_brute_force():
@@ -252,6 +297,37 @@ def test_tree_wrappers_and_validation():
     assert mst.n_edges == 4
     assert mst.parent[2] == NO_PARENT
     assert mst.parent[1] == 2 and mst.parent[3] == 2
+
+
+def _hand_tree(parent, root=0):
+    parent = np.asarray(parent, dtype=np.int64)
+    n = parent.size
+    weight = np.where(parent >= 0, 1.0, np.nan)
+    return VesselTree(root=root, parent=parent, positions=np.zeros((n, 3)),
+                      edge_weight=weight, edge_alpha=np.zeros(n),
+                      edge_length=weight.copy(),
+                      total_weight=float(np.sum(parent >= 0)))
+
+
+def test_validate_rejects_malformed_parent_maps():
+    _hand_tree([NO_PARENT, 0, 1, EXCLUDED, 1]).validate()
+    _hand_tree(np.arange(-1, 50_000)).validate()   # deep path, one pass
+    with pytest.raises(ValueError, match="root must map to no parent"):
+        _hand_tree([1, NO_PARENT, 1]).validate()
+    with pytest.raises(ValueError, match="root must map to no parent"):
+        _hand_tree([NO_PARENT, 0], root=2).validate()
+    with pytest.raises(ValueError, match="cycle detected"):
+        _hand_tree([NO_PARENT, 0, 3, 2]).validate()
+    with pytest.raises(ValueError, match="cycle detected"):
+        _hand_tree([NO_PARENT, 0, 3, 4, 3]).validate()   # 2 leads into it
+    with pytest.raises(ValueError, match="node 2 does not reach the root"):
+        _hand_tree([NO_PARENT, 0, 3, NO_PARENT]).validate()
+    with pytest.raises(ValueError, match="node 2 does not reach the root"):
+        _hand_tree([NO_PARENT, EXCLUDED, 1]).validate()
+    with pytest.raises(ValueError, match="total_weight"):
+        tree = _hand_tree([NO_PARENT, 0])
+        tree.total_weight = 2.0
+        tree.validate()
 
 
 def test_wrappers_reject_wrong_mode():
