@@ -77,14 +77,15 @@ class SampleCloud:
             raise ValueError("positions and tangents must have matching shapes")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
+        # written so that NaN fails both checks
         norms = np.linalg.norm(self.tangents, axis=1)
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-6:
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("tangents must be unit vectors")
         if radii is not None:
             radii = np.asarray(radii, dtype=float).reshape(-1)
             if radii.shape[0] != self.positions.shape[0]:
                 raise ValueError("radii length must match sample count")
-            if radii.size and np.min(radii) < 0:
+            if not np.all(radii >= 0):
                 raise ValueError("radii must be >= 0")
         self.radii = radii
 

@@ -8,8 +8,9 @@ Two graph flavors are produced from a symmetric k-nearest-neighbor system:
 * undirected "geodesic" baseline graphs whose edge weight is the sum of
   the two shorter arc lengths, one per endpoint tangent line.
 
-Everything here is vectorized and chunked so that building a graph over
-1e5 samples with K=500 neighborhoods stays within desktop memory.
+Everything here is vectorized and chunked. Measured: the dense-k500
+benchmark workload (about 4.8k samples, K=500) peaks at about 500 MB RSS
+over its whole synth, reconstruct and evaluate run.
 """
 
 from __future__ import annotations

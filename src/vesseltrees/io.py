@@ -21,8 +21,9 @@ import numpy as np
 
 from .geometry import SampleCloud
 from .graphs import NeighborSystem
-from .solvers import EXCLUDED, NO_PARENT, VesselTree
+from .solvers import VesselTree
 from .synth import GroundTruthTree
+from .trees import EXCLUDED
 
 
 def _fmt(value) -> str:
@@ -77,26 +78,20 @@ def read_point_cloud(path) -> SampleCloud:
 
 
 def write_tree(path, tree):
-    """Serialize a VesselTree or GroundTruthTree."""
+    """Serialize a VesselTree or GroundTruthTree, one row per node."""
     lines = []
     if isinstance(tree, GroundTruthTree):
         lines.append(f"# domain_size {_fmt(tree.domain_size)}")
-        lines.append(f"root {tree.root}")
-        lines.append("# node parent x y z radius")
-        for i in range(tree.n_nodes):
-            cols = [str(i), str(int(tree.parent[i])),
-                    *(_fmt(c) for c in tree.positions[i]),
-                    _fmt(tree.radii[i])]
-            lines.append(" ".join(cols))
+        names, data = "radius", [tree.radii]
     else:
-        lines.append(f"root {tree.root}")
-        lines.append("# node parent x y z alpha length weight")
-        for i in tree.node_ids():
-            cols = [str(int(i)), str(int(tree.parent[i])),
-                    *(_fmt(c) for c in tree.positions[i]),
-                    _fmt(tree.edge_alpha[i]), _fmt(tree.edge_length[i]),
-                    _fmt(tree.edge_weight[i])]
-            lines.append(" ".join(cols))
+        names = "alpha length weight"
+        data = [tree.edge_alpha, tree.edge_length, tree.edge_weight]
+    lines += [f"root {tree.root}", f"# node parent x y z {names}"]
+    for i in tree.node_ids():
+        cols = [str(int(i)), str(int(tree.parent[i])),
+                *(_fmt(c) for c in tree.positions[i]),
+                *(_fmt(column[i]) for column in data)]
+        lines.append(" ".join(cols))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -138,6 +133,7 @@ def read_tree(path, cloud: SampleCloud | None = None):
     For reconstructed trees a sample cloud may be supplied to recover the
     per-edge arc geometry (start tangents); without it edges resample as
     straight chords while keeping the stored alpha/length/weight values.
+    A tree that fails ``validate()`` raises ValueError naming the file.
     """
     root, domain_size, rows, width = _parse_tree_rows(path)
     if width == 4:  # node parent + 4 floats: ground truth with radius
@@ -153,42 +149,43 @@ def read_tree(path, cloud: SampleCloud | None = None):
             positions[node] = vals[0:3]
             radii[node] = vals[3]
             parent[node] = par
-        return GroundTruthTree(positions=positions, radii=radii,
+        tree = GroundTruthTree(positions=positions, radii=radii,
                                parent=parent,
                                domain_size=domain_size or 0.0)
-
-    n = max(r[0] for r in rows) + 1
-    if cloud is not None:
-        if len(cloud) < n:
-            raise ValueError(f"{path}: tree references node {n - 1} but the "
-                             f"cloud has {len(cloud)} samples")
-        n = len(cloud)
-    parent = np.full(n, EXCLUDED, dtype=np.int64)
-    positions = np.full((n, 3), np.nan)
-    edge_alpha = np.full(n, np.nan)
-    edge_length = np.full(n, np.nan)
-    edge_weight = np.full(n, np.nan)
-    for node, par, vals in rows:
-        parent[node] = par
-        positions[node] = vals[0:3]
-        edge_alpha[node] = vals[3]
-        edge_length[node] = vals[4]
-        edge_weight[node] = vals[5]
-    if parent[root] != NO_PARENT:
-        raise ValueError(f"{path}: root {root} has a parent")
-    start_tan = None
-    if cloud is not None:
+    else:
+        if min(r[0] for r in rows) < 0:
+            raise ValueError(f"{path}: node ids must be >= 0")
+        n = max(r[0] for r in rows) + 1
+        if cloud is not None:
+            if len(cloud) < n:
+                raise ValueError(f"{path}: tree references node {n - 1} but "
+                                 f"the cloud has {len(cloud)} samples")
+            n = len(cloud)
+        parent = np.full(n, EXCLUDED, dtype=np.int64)
+        positions = np.full((n, 3), np.nan)
+        edge_alpha = np.full(n, np.nan)
+        edge_length = np.full(n, np.nan)
+        edge_weight = np.full(n, np.nan)
+        for node, par, vals in rows:
+            parent[node] = par
+            positions[node] = vals[0:3]
+            edge_alpha[node] = vals[3]
+            edge_length[node] = vals[4]
+            edge_weight[node] = vals[5]
+        total = float(np.sum(edge_weight[parent >= 0]))
+        tree = VesselTree(root=root, parent=parent, positions=positions,
+                          edge_weight=edge_weight, edge_alpha=edge_alpha,
+                          edge_length=edge_length, total_weight=total)
+    try:
+        tree.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if cloud is not None and width != 4:   # arcs start at the parent sample
         positions[parent == EXCLUDED] = cloud.positions[parent == EXCLUDED]
-        start_tan = np.full((n, 3), np.nan)
         has_edge = parent >= 0
-        start_tan[has_edge] = cloud.tangents[parent[has_edge]]
-    has_edge = parent >= 0
-    total = float(np.sum(edge_weight[has_edge])) if has_edge.any() else 0.0
-    return VesselTree(root=root, parent=parent, positions=positions,
-                      edge_weight=edge_weight, edge_alpha=edge_alpha,
-                      edge_length=edge_length, total_weight=total,
-                      edge_start_tangent=start_tan,
-                      excluded=np.flatnonzero(parent == EXCLUDED))
+        tree.edge_start_tangent = np.full((n, 3), np.nan)
+        tree.edge_start_tangent[has_edge] = cloud.tangents[parent[has_edge]]
+    return tree
 
 
 def write_json(path, payload: dict):

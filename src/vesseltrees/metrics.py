@@ -10,7 +10,10 @@ a threshold on them. Bifurcation angular error matches every ground-truth
 branching to the closest reconstructed branching point with no distance
 cutoff and reports the median absolute angle difference.
 Connectivity recall/fall-out scores a neighbor system by whether its edges
-follow ancestor/descendant lines of the ground-truth tree.
+follow ancestor/descendant lines of the ground-truth tree, in array passes
+over all pairs: ancestry is a comparison of preorder entry/exit times, the
+whole edges between a pair's ends are counted by a +1/-1 difference array
+summed over subtrees, and the spans on each edge are merged by one sort.
 
 Bifurcation angles are measured between the two child branch directions.
 Each direction is the unit chord of the first voxel of the child branch's
@@ -74,36 +77,6 @@ class RocPoint:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def _edge_children(tree) -> np.ndarray:
-    return np.flatnonzero(np.asarray(tree.parent) >= 0)
-
-
-def _children_map(tree):
-    children = {}
-    for v in _edge_children(tree):
-        children.setdefault(int(tree.parent[v]), []).append(int(v))
-    return children
-
-
-def _edge_length(tree, child) -> float:
-    lengths = getattr(tree, "edge_length", None)
-    if lengths is not None and math.isfinite(lengths[child]):
-        return float(lengths[child])
-    a = int(tree.parent[child])
-    return float(np.linalg.norm(tree.positions[child] - tree.positions[a]))
-
-
-def _edge_lengths(tree, childs) -> np.ndarray:
-    """Stored arc length of each edge where finite, else its chord length."""
-    chord = np.linalg.norm(tree.positions[childs]
-                           - tree.positions[tree.parent[childs]], axis=1)
-    stored = getattr(tree, "edge_length", None)
-    if stored is None:
-        return chord
-    stored = np.asarray(stored, dtype=float)[childs]
-    return np.where(np.isfinite(stored), stored, chord)
-
-
 def resample_tree(tree, step: float = DEFAULT_STEP):
     """Uniformly resample every edge; returns (points, radii-or-None).
 
@@ -115,14 +88,13 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-    radii = getattr(tree, "radii", None)
-    childs = _edge_children(tree)
+    radii = tree.radii
+    childs = tree.edge_children()
     if childs.size == 0:
-        root = getattr(tree, "root", 0)
-        pts = tree.positions[int(root)][None, :]
-        return (pts, radii[[int(root)]].copy() if radii is not None else None)
+        pts = tree.positions[tree.root][None, :]
+        return (pts, radii[[tree.root]].copy() if radii is not None else None)
     counts = np.maximum(
-        1, np.ceil(_edge_lengths(tree, childs) / step).astype(np.int64))
+        1, np.ceil(tree.edge_lengths() / step).astype(np.int64))
     # one row per output point: the edge it lies on and its arc fraction
     edge = np.repeat(np.arange(childs.size), counts + 1)
     first = np.cumsum(counts + 1) - (counts + 1)
@@ -132,7 +104,7 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
     p = tree.positions[par]
     q = tree.positions[child]
     points = p + fracs[:, None] * (q - p)
-    tangents = getattr(tree, "edge_start_tangent", None)
+    tangents = tree.edge_start_tangent
     if tangents is not None:
         t = tangents[child]
         on_arc = np.all(np.isfinite(t), axis=1)
@@ -165,14 +137,11 @@ def _roc_rates(gt, recon, tolerances, kind, step):
     resampled centerlines.
     """
     if kind == "bifurcation":
-        gt_bifs = gt.bifurcations
-        rec_nodes = recon.branching_nodes()
-        rec_pts = recon.positions[rec_nodes] if rec_nodes.size else \
-            np.empty((0, 3))
-        gt_pts = gt.positions[gt_bifs] if gt_bifs.size else np.empty((0, 3))
-        gt_radii = gt.radii[gt_bifs] if gt_bifs.size else None
+        gt_bifs = gt.branching_nodes()
+        rec_pts = recon.positions[recon.branching_nodes()]
+        gt_pts, gt_radii = gt.positions[gt_bifs], gt.radii[gt_bifs]
     else:
-        if np.sum(np.asarray(recon.parent) >= 0) == 0:
+        if recon.n_edges == 0:
             return [(0.0, 0.0)] * len(tolerances)
         gt_pts, gt_radii = resample_tree(gt, step)
         rec_pts, _ = resample_tree(recon, step)
@@ -214,14 +183,14 @@ def _point_along_branch(tree, node, child, distance, children):
     while True:
         seg = pos[cur_node] - cur_point
         seg_len = float(np.linalg.norm(seg))
-        kids = children.get(cur_node, [])
-        if seg_len >= remaining or not kids:
+        kids = children[cur_node]
+        if seg_len >= remaining or kids.size == 0:
             if seg_len <= 1e-12:
                 return pos[cur_node]
             return cur_point + min(1.0, remaining / seg_len) * seg
         remaining -= seg_len
         cur_point = pos[cur_node]
-        cur_node = kids[0]
+        cur_node = int(kids[0])
 
 
 def _branch_direction(tree, node, child, children, probe):
@@ -231,8 +200,8 @@ def _branch_direction(tree, node, child, children, probe):
     polyline; for leaf children the chord from the branching node itself.
     """
     pos = tree.positions
-    kids = children.get(int(child), [])
-    if kids:
+    kids = children[int(child)]
+    if kids.size:
         vec = _point_along_branch(tree, child, kids[0], probe,
                                   children) - pos[int(child)]
     else:
@@ -246,10 +215,11 @@ def bifurcation_angle(tree, node, children=None,
     """Angle between the two child branch directions at a branching node.
 
     With three or more children the widest pair is reported, which keeps
-    the value deterministic for non-binary reconstructions.
+    the value deterministic for non-binary reconstructions. ``children``
+    is the tree's children index, built here when not given.
     """
-    children = children if children is not None else _children_map(tree)
-    kids = children.get(int(node), [])
+    children = children if children is not None else tree.children()
+    kids = children[int(node)]
     if len(kids) < 2:
         raise ValueError(f"node {node} has fewer than two children")
     dirs = []
@@ -274,14 +244,14 @@ def angular_errors(gt: GroundTruthTree, recon):
     point regardless of distance. Returns [inf] * n_bifurcations when the
     reconstruction has no branching points at all.
     """
-    gt_bifs = gt.bifurcations
+    gt_bifs = gt.branching_nodes()
     if gt_bifs.size == 0:
         raise ValueError("ground truth has no bifurcations")
     rec_nodes = recon.branching_nodes()
     if rec_nodes.size == 0:
         return [math.inf] * int(gt_bifs.size)
-    gt_children = _children_map(gt)
-    rec_children = _children_map(recon)
+    gt_children = gt.children()
+    rec_children = recon.children()
     rec_pts = recon.positions[rec_nodes]
     errors = []
     for b in gt_bifs:
@@ -318,7 +288,7 @@ def roc_sweep(gt: GroundTruthTree, recon, scales, kind: str = "bifurcation",
 
 def project_to_tree(gt: GroundTruthTree, points, chunk: int = 4096):
     """Project points onto the tree: (edge_child, frac, distance) arrays."""
-    childs = _edge_children(gt)
+    childs = gt.edge_children()
     a = gt.positions[gt.parent[childs]]
     b = gt.positions[childs]
     d = b - a
@@ -343,78 +313,6 @@ def project_to_tree(gt: GroundTruthTree, points, chunk: int = 4096):
     return out_edge, out_frac, out_dist
 
 
-def _ancestors_plus(gt: GroundTruthTree):
-    anc = {}
-    for v in range(gt.n_nodes):
-        chain = set()
-        x = v
-        while x >= 0:
-            chain.add(int(x))
-            x = int(gt.parent[x])
-        anc[v] = chain
-    return anc
-
-
-def _canonical_projection(gt, edge_child, frac):
-    """Snap edge projections landing on a node to that node."""
-    if frac >= 1.0 - _SNAP_FRAC:
-        return ("node", int(edge_child))
-    if frac <= _SNAP_FRAC:
-        return ("node", int(gt.parent[edge_child]))
-    return ("edge", int(edge_child), float(frac))
-
-
-def _relation_spans(gt, proj_u, proj_v, anc):
-    """None if unrelated, else the covered (edge_child, lo, hi) spans."""
-
-    def node_of(p):
-        return p[1] if p[0] == "node" else None
-
-    def edge_parts(p):
-        return (p[1], p[2]) if p[0] == "edge" else (None, None)
-
-    nu, nv = node_of(proj_u), node_of(proj_v)
-    eu, su = edge_parts(proj_u)
-    ev, sv = edge_parts(proj_v)
-
-    if eu is not None and ev is not None and eu == ev:
-        return [(eu, min(su, sv), max(su, sv))]
-
-    def is_above(p_top, p_bot):
-        """p_top strictly on the root path of p_bot?"""
-        top_node = p_top[1] if p_top[0] == "node" else None
-        if p_top[0] == "edge":
-            b_top = p_top[1]
-            anchor = b_top
-        else:
-            anchor = top_node
-        if p_bot[0] == "node":
-            below = p_bot[1]
-        else:
-            below = int(gt.parent[p_bot[1]])
-        return anchor in anc[below]
-
-    for top, bot in ((proj_u, proj_v), (proj_v, proj_u)):
-        if not is_above(top, bot):
-            continue
-        spans = []
-        if top[0] == "edge":
-            spans.append((top[1], top[2], 1.0))
-            join = top[1]
-        else:
-            join = top[1]
-        if bot[0] == "edge":
-            spans.append((bot[1], 0.0, bot[2]))
-            x = int(gt.parent[bot[1]])
-        else:
-            x = bot[1]
-        while x != join:
-            spans.append((x, 0.0, 1.0))
-            x = int(gt.parent[x])
-        return spans
-    return None
-
-
 def connectivity_roc(gt: GroundTruthTree, neighbors: NeighborSystem, samples):
     """Score a neighbor system against the tree's ancestry structure.
 
@@ -423,35 +321,58 @@ def connectivity_roc(gt: GroundTruthTree, neighbors: NeighborSystem, samples):
     covered by correct edges' projected spans; fall-out is the fraction of
     incorrect edges.
     """
-    cloud = as_cloud(samples)
-    edge_idx, frac, _ = project_to_tree(gt, cloud.positions)
-    anc = _ancestors_plus(gt)
-    projections = [_canonical_projection(gt, e, f)
-                   for e, f in zip(edge_idx, frac)]
-    lengths = {int(c): _edge_length(gt, int(c)) for c in _edge_children(gt)}
-    intervals = {}
-    incorrect = 0
-    for u, v in neighbors.pairs.tolist():
-        spans = _relation_spans(gt, projections[u], projections[v], anc)
-        if spans is None:
-            incorrect += 1
-            continue
-        for child, lo, hi in spans:
-            if hi > lo:
-                intervals.setdefault(child, []).append((lo, hi))
-    covered = 0.0
-    for child, spans in intervals.items():
-        spans.sort()
-        cur_lo, cur_hi = spans[0]
-        for lo, hi in spans[1:]:
-            if lo > cur_hi:
-                covered += (cur_hi - cur_lo) * lengths[child]
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        covered += (cur_hi - cur_lo) * lengths[child]
+    edge, frac, _ = project_to_tree(gt, as_cloud(samples).positions)
+    parent = gt.parent
+    # A projection within _SNAP_FRAC of an edge end is on that node;
+    # low/high is the tree node at or just below/above each projection.
+    at_child = frac >= 1.0 - _SNAP_FRAC
+    at_parent = ~at_child & (frac <= _SNAP_FRAC)
+    on_edge = ~(at_child | at_parent)
+    low = np.where(at_parent, parent[edge], edge)
+    high = np.where(at_child, edge, parent[edge])
+
+    u, v = neighbors.pairs[:, 0], neighbors.pairs[:, 1]
+    same_edge = on_edge[u] & on_edge[v] & (edge[u] == edge[v])
+    order = gt.preorder()
+    u_over = order.is_ancestor_or_self(low[u], high[v])
+    v_over = order.is_ancestor_or_self(low[v], high[u])
+    related = u_over | v_over
+    top = np.where(u_over, u, v)[related]
+    bot = np.where(u_over, v, u)[related]
+
+    # The whole edges of a pair enter the nodes from high[bot] up to, not
+    # including, low[top]: +1 at one and -1 at the other, summed over each
+    # node's subtree (a preorder range), is > 0 exactly on them.
+    n = parent.size
+    delta = (np.bincount(order.enter[high[bot]], minlength=n + 1)
+             - np.bincount(order.enter[low[top]], minlength=n + 1))
+    prefix = np.concatenate([[0], np.cumsum(delta)])
+    whole = np.flatnonzero((prefix[order.leave] > prefix[order.enter])
+                           & (parent >= 0))
+    t_edge = top[on_edge[top]]
+    b_edge = bot[on_edge[bot]]
+    s_u, s_v = u[same_edge], v[same_edge]
+    child = np.concatenate([edge[s_u], edge[t_edge], edge[b_edge], whole])
+    lo = np.concatenate([np.minimum(frac[s_u], frac[s_v]), frac[t_edge],
+                         np.zeros(b_edge.size + whole.size)])
+    hi = np.concatenate([np.maximum(frac[s_u], frac[s_v]),
+                         np.ones(t_edge.size), frac[b_edge],
+                         np.ones(whole.size)])
+
+    # Union of the spans on each edge: a gap between consecutive span ends,
+    # sorted by (edge, fraction), is covered while depth > 0.
+    ends = np.concatenate([lo, hi])
+    ends_on = np.concatenate([child, child])
+    rank = np.lexsort((ends, ends_on))
+    ends, ends_on = ends[rank], ends_on[rank]
+    depth = np.cumsum(np.repeat([1, -1], lo.size)[rank])
+    length = np.zeros(n)
+    length[gt.edge_children()] = gt.edge_lengths()
+    covered = float(np.sum(np.where(depth[:-1] > 0, np.diff(ends), 0.0)
+                           * length[ends_on[:-1]]))
     total = gt.total_length()
     recall = covered / total if total > 0 else 0.0
     n_pairs = neighbors.n_pairs
+    incorrect = n_pairs - int(np.count_nonzero(same_edge | related))
     fallout = incorrect / n_pairs if n_pairs else 0.0
     return float(recall), float(fallout)

@@ -154,7 +154,7 @@ def _synth_item(args):
         "tree": tree_path,
         "tree_seed": tree_seed,
         "root_position": [float(c) for c in tree.positions[tree.root]],
-        "n_bifurcations": int(tree.bifurcations.size),
+        "n_bifurcations": int(tree.branching_nodes().size),
         "clouds": clouds,
     }
 
@@ -296,7 +296,7 @@ def _evaluate_item(args):
         c_recall, c_fallout = centerline_roc(gt, recon, tol, step)
         b_recall, b_fallout = bifurcation_roc(gt, recon, tol)
         # a GT tree without bifurcations has no angles to score
-        errors = angular_errors(gt, recon) if gt.bifurcations.size else []
+        errors = angular_errors(gt, recon) if gt.branching_nodes().size else []
         med = _median(errors)
         curves = {
             kind: roc_sweep(gt, recon, scales, kind=kind, tol=tol, step=step)

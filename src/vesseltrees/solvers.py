@@ -18,7 +18,7 @@ deterministic for a given input ordering.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,14 +26,13 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
 
 from .graphs import TubularGraph
+from .trees import EXCLUDED, NO_PARENT, ParentTree, reachable_mask
 
-NO_PARENT = -1   # tree root
-EXCLUDED = -2    # node not part of the tree
 _NO_ARC = np.iinfo(np.int64).max
 
 
 @dataclass
-class VesselTree:
+class VesselTree(ParentTree):
     """Rooted directed tree over sample indices with per-edge arc data.
 
     Arrays are indexed by node id; nodes outside the tree have parent
@@ -50,76 +49,8 @@ class VesselTree:
     edge_length: np.ndarray
     total_weight: float
     edge_start_tangent: np.ndarray | None = None
-    excluded: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
-    @property
-    def n_nodes(self) -> int:
-        return int(np.sum(self.parent != EXCLUDED))
-
-    @property
-    def n_edges(self) -> int:
-        return int(np.sum(self.parent >= 0))
-
-    def node_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.parent != EXCLUDED)
-
-    def children_map(self):
-        """children[i] = list of direct children of node i."""
-        children = {int(i): [] for i in self.node_ids()}
-        for v in np.flatnonzero(self.parent >= 0):
-            children[int(self.parent[v])].append(int(v))
-        return children
-
-    def branching_nodes(self) -> np.ndarray:
-        """Nodes with out-degree >= 2."""
-        parents = self.parent[self.parent >= 0]
-        if parents.size == 0:
-            return np.empty(0, np.int64)
-        ids, counts = np.unique(parents, return_counts=True)
-        return ids[counts >= 2]
-
-    def validate(self):
-        """Check the tree invariants; raises ValueError on violation.
-
-        One breadth-first pass down the parent links from the root: the
-        map is a rooted tree exactly when it reaches every node that is not
-        excluded.
-        """
-        parent = self.parent
-        n = parent.shape[0]
-        if not 0 <= self.root < n or parent[self.root] != NO_PARENT:
-            raise ValueError("root must map to no parent")
-        child = np.flatnonzero(parent >= 0)
-        # Virtual node n adopts every parentless node other than the root,
-        # so the nodes it reaches are those whose walk up ends off the root.
-        orphans = np.flatnonzero(parent < 0)
-        orphans = orphans[orphans != self.root]
-        tails = np.concatenate([parent[child], np.full(orphans.size, n)])
-        heads = np.concatenate([child, orphans])
-        stray = (parent != EXCLUDED) & ~_reachable_mask(
-            n + 1, tails, heads, self.root)[:n]
-        if stray.any():
-            v = int(np.argmax(stray))
-            if _reachable_mask(n + 1, tails, heads, n)[v]:
-                raise ValueError(f"node {v} does not reach the root")
-            raise ValueError("cycle detected in parent map")
-        edge_w = self.edge_weight[parent >= 0]
-        if not np.isclose(np.sum(edge_w), self.total_weight, rtol=1e-9,
-                          atol=1e-9):
-            raise ValueError("total_weight does not match edge weights")
-
-
-def _reachable_mask(n, tails, heads, root) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[root] = True
-    if tails.size == 0:
-        return mask
-    m = csr_matrix((np.ones(tails.size, dtype=np.float32), (tails, heads)),
-                   shape=(n, n))
-    order = breadth_first_order(m, root, directed=True,
-                                return_predecessors=False)
-    mask[order] = True
-    return mask
+    radii = None
 
 
 def _find_cycles(succ, root):
@@ -169,7 +100,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     parent[root] = NO_PARENT
 
     valid = np.isfinite(weights) & (tails != heads) & (heads != root)
-    reach = _reachable_mask(n_nodes, tails[valid], heads[valid], root)
+    reach = reachable_mask(n_nodes, tails[valid], heads[valid], root)
     keep = valid & reach[tails] & reach[heads]
     arc_ids = np.flatnonzero(keep)
     if arc_ids.size == 0:
@@ -290,8 +221,7 @@ def _tree_from_parent(graph: TubularGraph, parent, arc_index, root,
                       positions=graph.samples.positions.copy(),
                       edge_weight=edge_weight, edge_alpha=edge_alpha,
                       edge_length=edge_length, total_weight=total,
-                      edge_start_tangent=start_tan,
-                      excluded=np.flatnonzero(parent == EXCLUDED))
+                      edge_start_tangent=start_tan)
 
 
 def minimum_arborescence(graph: TubularGraph, root: int) -> VesselTree:

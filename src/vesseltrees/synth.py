@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SampleCloud
+from .trees import NO_PARENT, ParentTree
 
 ROOT_RADIUS = 2.0
 CHILD_RADIUS_FACTOR = 2.0 ** (-1.0 / 3.0)
@@ -28,7 +29,7 @@ _INTERIOR_MARGIN = 0.05       # fraction of host segment kept clear of ends
 
 
 @dataclass
-class GroundTruthTree:
+class GroundTruthTree(ParentTree):
     """Polyline tree with per-node radii inside a cubic domain."""
 
     positions: np.ndarray
@@ -36,43 +37,17 @@ class GroundTruthTree:
     parent: np.ndarray
     domain_size: float
 
+    edge_length = edge_weight = edge_start_tangent = None
+
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
         self.radii = np.asarray(self.radii, dtype=float).reshape(-1)
         self.parent = np.asarray(self.parent, dtype=np.int64).reshape(-1)
 
     @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
-    @property
     def root(self) -> int:
-        return int(np.flatnonzero(self.parent < 0)[0])
-
-    def children_map(self):
-        children = {i: [] for i in range(self.n_nodes)}
-        for v in np.flatnonzero(self.parent >= 0):
-            children[int(self.parent[v])].append(int(v))
-        return children
-
-    @property
-    def bifurcations(self) -> np.ndarray:
-        """Nodes with two or more children."""
-        parents = self.parent[self.parent >= 0]
-        ids, counts = np.unique(parents, return_counts=True)
-        return ids[counts >= 2]
-
-    def edge_children(self) -> np.ndarray:
-        """Child node of every edge, ascending; edge i is parent[c] -> c."""
-        return np.flatnonzero(self.parent >= 0)
-
-    def edge_lengths(self) -> np.ndarray:
-        childs = self.edge_children()
-        return np.linalg.norm(self.positions[childs]
-                              - self.positions[self.parent[childs]], axis=1)
-
-    def total_length(self) -> float:
-        return float(np.sum(self.edge_lengths()))
+        """First node without a parent (0 if none, which validate rejects)."""
+        return int(np.argmax(self.parent == NO_PARENT))
 
 
 def _nearest_on_segments(point, seg_a, seg_b):
@@ -203,7 +178,8 @@ def sample_centerline(tree: GroundTruthTree, cfg: SamplerConfig) -> SampleCloud:
     jitter, tangent rotation, flips, dropout) so a seed fully determines
     the output.
     """
-    children = tree.children_map()
+    children = tree.children()
+    is_leaf = children.degree == 0
     first_child = children[tree.root][0]
     root_dir = tree.positions[first_child] - tree.positions[tree.root]
     root_dir = root_dir / np.linalg.norm(root_dir)
@@ -225,7 +201,7 @@ def sample_centerline(tree: GroundTruthTree, cfg: SamplerConfig) -> SampleCloud:
             pts.append(tree.positions[a] + s * direction)
             tans.append(direction)
             radii.append((1 - f) * tree.radii[a] + f * tree.radii[child])
-        if not children[int(child)]:  # leaf tips are always detected
+        if is_leaf[child]:  # leaf tips are always detected
             pts.append(tree.positions[child])
             tans.append(direction)
             radii.append(tree.radii[child])

@@ -207,3 +207,20 @@ def test_unresolvable_root_errors(tmp_path):
                 str(tmp_path / "t.txt")]) == 1
     assert run(["reconstruct", "--cloud", str(cloud_path), "--out",
                 str(tmp_path / "t.txt"), "--root-index", "999999"]) == 1
+
+
+def test_evaluate_cyclic_ground_truth_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    small_synth(corpus)
+    recon = tmp_path / "run"
+    assert run(["reconstruct", "--corpus", str(corpus), "--out", str(recon),
+                "--k", "30"]) == 0
+    manifest = read_json(corpus / "manifest.json")
+    gt_path = corpus / manifest["items"][0]["tree"]
+    gt_path.write_text("root 0\n0 -1 0 0 0 1\n1 2 1 0 0 1\n2 1 2 0 0 1\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--corpus", str(corpus), "--recon", str(recon),
+                "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(gt_path) in err[0] and "cycle detected" in err[0]

@@ -140,3 +140,31 @@ def test_neighbor_pairs_header_only_and_malformed(tmp_path, recwarn):
         path.write_text(body)
         with pytest.raises(ValueError):
             read_neighbor_pairs(path)
+
+
+def test_nan_samples_rejected(tmp_path):
+    path = tmp_path / "cloud.txt"
+    path.write_text("0 0 0 1 0 0\n1 0 0 nan nan nan\n")
+    with pytest.raises(ValueError, match="unit vectors"):
+        read_point_cloud(path)
+    path.write_text("0 0 0 1 0 0 1.0\n1 0 0 1 0 0 nan\n")
+    with pytest.raises(ValueError, match="radii"):
+        read_point_cloud(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    # ground truth: a 2-node parent cycle, a parent out of range, no root
+    ("root 0\n0 -1 0 0 0 1\n1 2 1 0 0 1\n2 1 2 0 0 1\n", "cycle detected"),
+    ("root 0\n0 -1 0 0 0 1\n1 7 1 0 0 1\n", r"parent ids must lie in"),
+    ("root 0\n0 1 0 0 0 1\n1 0 1 0 0 1\n", "root must map to no parent"),
+    # reconstruction: root out of range, negative node id
+    ("root 9\n0 -1 0 0 0 nan nan nan\n", "root must map to no parent"),
+    ("root 0\n0 -1 0 0 0 nan nan nan\n-1 0 1 0 0 0 1 1\n", "node ids"),
+], ids=["gt-cycle", "gt-parent-range", "gt-no-root", "root-range",
+        "negative-node-id"])
+def test_malformed_tree_files_fail_loudly(tmp_path, body, message):
+    path = tmp_path / "tree.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message) as info:
+        read_tree(path)
+    assert str(info.value).startswith(f"{path}: ")

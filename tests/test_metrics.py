@@ -301,3 +301,126 @@ def test_project_to_tree_basics():
     assert dist[0] == pytest.approx(1.0)
     assert frac[1] == 0.0
     assert dist[1] == pytest.approx(3.0)
+
+
+# Reference connectivity: the per-pair ancestor walk that connectivity_roc
+# replaced, kept as the oracle for its array passes.
+
+def _ancestors_plus(gt):
+    anc = {}
+    for v in range(gt.n_nodes):
+        chain = set()
+        x = v
+        while x >= 0:
+            chain.add(int(x))
+            x = int(gt.parent[x])
+        anc[v] = chain
+    return anc
+
+
+def _canonical_projection(gt, edge_child, frac):
+    """Snap edge projections landing on a node to that node."""
+    if frac >= 1.0 - 1e-9:
+        return ("node", int(edge_child))
+    if frac <= 1e-9:
+        return ("node", int(gt.parent[edge_child]))
+    return ("edge", int(edge_child), float(frac))
+
+
+def _relation_spans(gt, proj_u, proj_v, anc):
+    """None if unrelated, else the covered (edge_child, lo, hi) spans."""
+    if proj_u[0] == proj_v[0] == "edge" and proj_u[1] == proj_v[1]:
+        return [(proj_u[1], min(proj_u[2], proj_v[2]),
+                 max(proj_u[2], proj_v[2]))]
+
+    def is_above(p_top, p_bot):
+        below = p_bot[1] if p_bot[0] == "node" else int(gt.parent[p_bot[1]])
+        return p_top[1] in anc[below]
+
+    for top, bot in ((proj_u, proj_v), (proj_v, proj_u)):
+        if not is_above(top, bot):
+            continue
+        spans = []
+        if top[0] == "edge":
+            spans.append((top[1], top[2], 1.0))
+        join = top[1]
+        if bot[0] == "edge":
+            spans.append((bot[1], 0.0, bot[2]))
+            x = int(gt.parent[bot[1]])
+        else:
+            x = bot[1]
+        while x != join:
+            spans.append((x, 0.0, 1.0))
+            x = int(gt.parent[x])
+        return spans
+    return None
+
+
+def reference_connectivity(gt, neighbors, cloud):
+    """(recall, fallout, projections, spans per pair) by walking each pair."""
+    edge_idx, frac, _ = project_to_tree(gt, cloud.positions)
+    anc = _ancestors_plus(gt)
+    projections = [_canonical_projection(gt, e, f)
+                   for e, f in zip(edge_idx, frac)]
+    lengths = {int(c): float(np.linalg.norm(
+        gt.positions[c] - gt.positions[gt.parent[c]]))
+        for c in gt.edge_children()}
+    intervals = {}
+    per_pair = []
+    for u, v in neighbors.pairs.tolist():
+        spans = _relation_spans(gt, projections[u], projections[v], anc)
+        per_pair.append(spans)
+        for child, lo, hi in spans or ():
+            if hi > lo:
+                intervals.setdefault(child, []).append((lo, hi))
+    covered = 0.0
+    for child, spans in intervals.items():
+        spans.sort()
+        cur_lo, cur_hi = spans[0]
+        for lo, hi in spans[1:]:
+            if lo > cur_hi:
+                covered += (cur_hi - cur_lo) * lengths[child]
+                cur_lo, cur_hi = lo, hi
+            else:
+                cur_hi = max(cur_hi, hi)
+        covered += (cur_hi - cur_lo) * lengths[child]
+    incorrect = sum(spans is None for spans in per_pair)
+    return (covered / gt.total_length(), incorrect / len(per_pair),
+            projections, per_pair)
+
+
+def test_connectivity_roc_matches_pair_walk_reference():
+    seen = {"same_edge": 0, "unrelated": 0, "snapped": 0, "whole_edge": 0}
+    for seed in range(36):
+        gt = generate_tree(n_leaves=3 + seed % 4, domain_size=25.0,
+                           seed=seed)
+        noisy = seed % 3 == 2
+        cloud = sample_centerline(gt, SamplerConfig(
+            position_noise_std=0.4 if noisy else 0.0,
+            tangent_noise_std_rad=0.2 if noisy else 0.0, seed=seed))
+        if seed % 3 == 0:   # samples on every tree node snap to it
+            cloud = SampleCloud(
+                np.concatenate([cloud.positions, gt.positions]),
+                np.concatenate([cloud.tangents,
+                                np.tile([1.0, 0, 0], (gt.n_nodes, 1))]))
+        n = len(cloud)
+        if seed % 2:
+            system = knn_neighbors(cloud, k=min(20, n - 1))
+        else:
+            u, v = np.triu_indices(n, 1)
+            system = NeighborSystem(k=n - 1, pairs=np.stack([u, v], axis=1))
+        recall, fallout = connectivity_roc(gt, system, cloud)
+        want_recall, want_fallout, proj, per_pair = reference_connectivity(
+            gt, system, cloud)
+        assert fallout == want_fallout
+        assert recall == pytest.approx(want_recall, rel=1e-12, abs=0)
+        for (u, v), spans in zip(system.pairs.tolist(), per_pair):
+            if spans is None:
+                seen["unrelated"] += 1
+                continue
+            kinds = (proj[u][0], proj[v][0])
+            seen["same_edge"] += kinds == ("edge", "edge") and len(spans) == 1
+            seen["snapped"] += "node" in kinds
+            seen["whole_edge"] += any(lo == 0.0 and hi == 1.0
+                                      for _, lo, hi in spans)
+    assert min(seen.values()) > 0, seen

@@ -15,9 +15,9 @@ from vesseltrees.synth import (
 
 def test_two_leaves_single_bifurcation():
     tree = generate_tree(n_leaves=2, domain_size=100.0, seed=1)
-    assert tree.bifurcations.size == 1
-    children = tree.children_map()
-    assert len(children[int(tree.bifurcations[0])]) == 2
+    assert tree.branching_nodes().size == 1
+    children = tree.children()
+    assert len(children[int(tree.branching_nodes()[0])]) == 2
 
 
 def test_generator_deterministic():
@@ -35,21 +35,21 @@ def test_tree_stays_binary_and_in_domain():
         tree = generate_tree(n_leaves=10, domain_size=100.0, seed=seed)
         assert np.all(tree.positions >= 0)
         assert np.all(tree.positions <= tree.domain_size)
-        children = tree.children_map()
-        for node, kids in children.items():
+        children = tree.children()
+        for node, kids in enumerate(children.degree):
             if node == tree.root:
-                assert len(kids) == 1
+                assert kids == 1
             else:
-                assert len(kids) in (0, 1, 2)
-        assert tree.bifurcations.size == 9  # n_leaves - 1 splits
+                assert kids in (0, 1, 2)
+        assert tree.branching_nodes().size == 9  # n_leaves - 1 splits
 
 
 def test_radii_non_increasing():
     tree = generate_tree(n_leaves=12, domain_size=100.0, seed=3)
     for child in tree.edge_children():
         assert tree.radii[child] <= tree.radii[tree.parent[child]] + 1e-12
-    leaf_radii = [tree.radii[i] for i, kids in tree.children_map().items()
-                  if not kids]
+    leaf_radii = [tree.radii[i]
+                  for i, kids in enumerate(tree.children().degree) if not kids]
     assert min(leaf_radii) < 2.0 * CHILD_RADIUS_FACTOR + 1e-12
 
 
@@ -59,9 +59,9 @@ def test_relocation_widens_angle_distribution():
         for seed in range(15):
             tree = generate_tree(n_leaves=10, domain_size=100.0, seed=seed,
                                  relocate_bifurcations=relocate)
-            children = tree.children_map()
+            children = tree.children()
             angles += [bifurcation_angle(tree, b, children)
-                       for b in tree.bifurcations]
+                       for b in tree.branching_nodes()]
         return float(np.std(angles))
 
     assert angle_std(True) > angle_std(False)
@@ -128,8 +128,9 @@ def test_dropout_rate_over_seeds():
 def test_huge_spacing_still_emits_root_and_leaves():
     tree = generate_tree(n_leaves=4, domain_size=100.0, seed=13)
     cloud = sample_centerline(tree, SamplerConfig(spacing=1e6, seed=0))
-    children = tree.children_map()
-    keep = [tree.root] + [i for i, kids in children.items() if not kids]
+    children = tree.children()
+    keep = [tree.root] + [i for i, kids in enumerate(children.degree)
+                          if not kids]
     assert len(cloud) == len(keep)
     got = {tuple(np.round(p, 9)) for p in cloud.positions}
     want = {tuple(np.round(tree.positions[i], 9)) for i in keep}
