@@ -59,7 +59,7 @@ class OrientedSample:
         self.tangent = _unit3(self.tangent, "tangent")
         if self.radius is not None:
             self.radius = float(self.radius)
-            if self.radius < 0:
+            if not self.radius >= 0:  # written so that NaN fails it
                 raise ValueError(f"radius must be >= 0, got {self.radius}")
 
 

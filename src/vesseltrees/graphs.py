@@ -8,30 +8,44 @@ Two graph flavors are produced from a symmetric k-nearest-neighbor system:
 * undirected "geodesic" baseline graphs whose edge weight is the sum of
   the two shorter arc lengths, one per endpoint tangent line.
 
-Everything here is vectorized and chunked. Measured: the dense-k500
-benchmark workload (about 4.8k samples, K=500) peaks at about 500 MB RSS
-over its whole synth, reconstruct and evaluate run.
+Everything here is vectorized. Both graph builders make one pass over
+cache-sized chunks of the neighbor pairs, fitted on a thread pool with one
+worker per usable CPU; the chunk results are joined in chunk order, so the
+output does not depend on the chunk size or the thread count. A confluent
+chunk computes each pair's chord and unit direction once for both arc
+directions, applies the confluence gate, and computes arc length and
+weight only for the arcs that pass it. Measured on 2 CPUs: the dense-k500
+benchmark workload (about 4.8k samples, K=500, 1.4M pairs) peaks at about
+290 MB RSS over its whole synth, reconstruct and evaluate run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (
+    ALPHA_DEGENERATE,
     COINCIDENT_TOL,
     SampleCloud,
     batch_arc_geometry,
     batch_confluence_angles,
-    batch_arc_weights,
     batch_shorter_arc_lengths,
 )
 
-_PAIR_CHUNK = 2_000_000
+# Neighbor pairs fitted per chunk, small enough that a chunk's temporaries
+# stay in cache: on the dense-k500 cloud (1.4M pairs) 16k to 64k fit
+# fastest, 256k about 25 % slower and all pairs at once about twice as slow.
+# 16k rather than 64k also keeps the worker threads' allocator arenas
+# small: benchmark peak RSS 99 vs 123 MB on corpus-sweep, 290 vs 312 MB on
+# dense-k500.
+_PAIR_CHUNK = 16_384
 _QUERY_CHUNK = 20_000
 
 
@@ -177,6 +191,37 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
                           aspect_ratio_sq=aspect_ratio_sq)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as the kd-tree's ``workers=-1``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_pair_chunks(fit, pairs):
+    """Apply ``fit`` to consecutive ``_PAIR_CHUNK``-row slices of ``pairs``.
+
+    ``fit`` returns a tuple of 1-D arrays; each is concatenated over the
+    slices in slice order. The slices run on a thread pool, which numpy's
+    kernels keep busy because they release the GIL. There is always at
+    least one slice, possibly empty.
+    """
+    chunks = [pairs[lo:lo + _PAIR_CHUNK]
+              for lo in range(0, max(pairs.shape[0], 1), _PAIR_CHUNK)]
+    with ThreadPoolExecutor(min(_usable_cpus(), len(chunks))) as pool:
+        parts = list(pool.map(fit, chunks))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _distinct_pairs(pos, chunk):
+    """``(u, v, chord, |chord|)`` of the pairs whose endpoints differ."""
+    u, v = chunk[:, 0], chunk[:, 1]
+    chord = pos[v] - pos[u]
+    d = np.linalg.norm(chord, axis=1)
+    ok = d > COINCIDENT_TOL
+    return u[ok], v[ok], chord[ok], d[ok]
+
+
 class TubularGraph:
     """Weighted graph whose nodes are oriented centerline samples.
 
@@ -232,28 +277,40 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
         raise ValueError("elastic_lambda must be >= 0")
     cloud = as_cloud(samples)
     pos, tan = cloud.positions, cloud.tangents
-    out_t, out_h, out_w = [], [], []
-    pairs = neighbors.pairs
-    for lo in range(0, pairs.shape[0], _PAIR_CHUNK):
-        chunk = pairs[lo:lo + _PAIR_CHUNK]
-        u, v = chunk[:, 0], chunk[:, 1]
-        ok = np.linalg.norm(pos[v] - pos[u], axis=1) > COINCIDENT_TOL
-        u, v = u[ok], v[ok]
-        for a, b in ((u, v), (v, u)):
-            _, alpha, length, end_tan = batch_arc_geometry(pos[a], tan[a],
-                                                           pos[b])
-            conf = batch_confluence_angles(end_tan, tan[b])
-            w = batch_arc_weights(alpha, length, conf, epsilon,
-                                  elastic_lambda)
-            keep = np.isfinite(w)
-            out_t.append(a[keep].astype(np.int32))
-            out_h.append(b[keep].astype(np.int32))
-            out_w.append(w[keep])
-    tails = np.concatenate(out_t) if out_t else np.empty(0, np.int32)
-    heads = np.concatenate(out_h) if out_h else np.empty(0, np.int32)
-    weights = np.concatenate(out_w) if out_w else np.empty(0, float)
+
+    def fit(chunk):
+        u, v, chord, d = _distinct_pairs(pos, chunk)
+        e = chord / d[:, None]
+        t_u, t_v = tan[u], tan[v]
+        tails, heads, weights = [], [], []
+        # Negating the chord negates its unit direction exactly, so the
+        # reverse arcs share the forward norm and direction bit for bit.
+        for a, b, t_a, t_b, e_ab in ((u, v, t_u, t_v, e),
+                                     (v, u, t_v, t_u, -e)):
+            cos_a = np.clip(np.einsum("ij,ij->i", t_a, e_ab), -1.0, 1.0)
+            end_tan = 2.0 * cos_a[:, None] * e_ab - t_a
+            gate = np.flatnonzero(batch_confluence_angles(end_tan, t_b)
+                                  <= epsilon)
+            # length and weight as batch_arc_geometry and batch_arc_weights
+            # give them, for the arcs that pass the gate only
+            alpha = np.arccos(cos_a[gate])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = alpha / np.sin(alpha)
+            ratio = np.where(alpha == 0.0, 1.0, ratio)
+            length = np.where(alpha >= ALPHA_DEGENERATE, np.inf,
+                              d[gate] * ratio)
+            w = length + elastic_lambda * 2.0 * alpha
+            finite = np.isfinite(w)
+            tails.append(a[gate[finite]])
+            heads.append(b[gate[finite]])
+            weights.append(w[finite])
+        return (np.concatenate(tails).astype(np.int32),
+                np.concatenate(heads).astype(np.int32),
+                np.concatenate(weights))
+
+    tails, heads, weights = _map_pair_chunks(fit, neighbors.pairs)
     # (tail, head) pairs are unique, so sorting this one int64 key gives
-    # the (tail, head) lexsort order
+    # the (tail, head) lexsort order whatever the chunking
     order = np.argsort(tails.astype(np.int64) * len(cloud) + heads)
     return TubularGraph(cloud, tails[order], heads[order], weights[order],
                         mode="confluent", epsilon=epsilon,
@@ -269,19 +326,12 @@ def build_geodesic_graph(samples, neighbors: NeighborSystem) -> TubularGraph:
     """
     cloud = as_cloud(samples)
     pos, tan = cloud.positions, cloud.tangents
-    pairs = neighbors.pairs
-    out_u, out_v, out_w = [], [], []
-    for lo in range(0, pairs.shape[0], _PAIR_CHUNK):
-        chunk = pairs[lo:lo + _PAIR_CHUNK]
-        u, v = chunk[:, 0], chunk[:, 1]
-        ok = np.linalg.norm(pos[v] - pos[u], axis=1) > COINCIDENT_TOL
-        u, v = u[ok], v[ok]
+
+    def fit(chunk):
+        u, v, _, _ = _distinct_pairs(pos, chunk)
         w = (batch_shorter_arc_lengths(pos[u], tan[u], pos[v])
              + batch_shorter_arc_lengths(pos[v], tan[v], pos[u]))
-        out_u.append(u.astype(np.int32))
-        out_v.append(v.astype(np.int32))
-        out_w.append(w)
-    tails = np.concatenate(out_u) if out_u else np.empty(0, np.int32)
-    heads = np.concatenate(out_v) if out_v else np.empty(0, np.int32)
-    weights = np.concatenate(out_w) if out_w else np.empty(0, float)
+        return u.astype(np.int32), v.astype(np.int32), w
+
+    tails, heads, weights = _map_pair_chunks(fit, neighbors.pairs)
     return TubularGraph(cloud, tails, heads, weights, mode="geodesic")

@@ -217,8 +217,9 @@ def read_csv(path):
 
 
 def write_neighbor_pairs(path, system):
-    rows = [(int(u), int(v)) for u, v in system.pairs.tolist()]
-    write_csv(path, ["u", "v"], rows)
+    """``u,v`` pair CSV, in the layout ``write_csv`` gives integer cells."""
+    atomic_write_text(path, "u,v\n" + "".join(
+        f"{u},{v}\n" for u, v in system.pairs.tolist()))
 
 
 def read_neighbor_pairs(path):

@@ -371,7 +371,9 @@ def connectivity_roc(gt: GroundTruthTree, neighbors: NeighborSystem, samples):
     covered = float(np.sum(np.where(depth[:-1] > 0, np.diff(ends), 0.0)
                            * length[ends_on[:-1]]))
     total = gt.total_length()
-    recall = covered / total if total > 0 else 0.0
+    # covered and total length are summed in different orders, so full
+    # coverage can round to just above 1
+    recall = min(covered / total, 1.0) if total > 0 else 0.0
     n_pairs = neighbors.n_pairs
     incorrect = n_pairs - int(np.count_nonzero(same_edge | related))
     fallout = incorrect / n_pairs if n_pairs else 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
 
@@ -21,6 +22,8 @@ import numpy as np
 from . import io as vio
 from .graphs import anisotropic_knn, build_confluent_graph, \
     build_geodesic_graph, knn_neighbors
+# bifurcation_roc, centerline_roc and median_angular_error are not called
+# here, but perfbench/spans.py wraps them as globals of this module.
 from .metrics import (
     DEFAULT_STEP,
     DEFAULT_ZETA,
@@ -293,15 +296,17 @@ def _evaluate_item(args):
         name = recon_name(item["id"], level)
         recon_path = os.path.join(recon_dir, "trees", name + ".txt")
         recon = vio.read_tree(recon_path, cloud=cloud)
-        c_recall, c_fallout = centerline_roc(gt, recon, tol, step)
-        b_recall, b_fallout = bifurcation_roc(gt, recon, tol)
+        # One sweep per kind also gives the per-tree point at scale 1.0
+        # (tol.scaled(1.0) is tol); roc_sweep sorts stably, so the appended
+        # 1.0 lands after every requested scale <= 1.0 and comes out again.
+        curves, at_one = {}, {}
+        for kind in ("centerline", "bifurcation"):
+            curves[kind] = roc_sweep(gt, recon, [*scales, 1.0], kind=kind,
+                                     tol=tol, step=step)
+            at_one[kind] = curves[kind].pop(bisect_right(sorted(scales), 1.0))
         # a GT tree without bifurcations has no angles to score
         errors = angular_errors(gt, recon) if gt.branching_nodes().size else []
         med = _median(errors)
-        curves = {
-            kind: roc_sweep(gt, recon, scales, kind=kind, tol=tol, step=step)
-            for kind in ("centerline", "bifurcation")
-        }
         connectivity = None
         nbr_path = os.path.join(recon_dir, "neighbors", name + ".csv")
         if os.path.exists(nbr_path):
@@ -312,9 +317,10 @@ def _evaluate_item(args):
             "n_samples": len(cloud),
             "n_tree_nodes": int(recon.n_nodes),
             "n_excluded": int(recon.excluded.size),
-            "centerline_recall": c_recall, "centerline_fallout": c_fallout,
-            "bifurcation_recall": b_recall,
-            "bifurcation_fallout": b_fallout,
+            "centerline_recall": at_one["centerline"].recall,
+            "centerline_fallout": at_one["centerline"].fallout,
+            "bifurcation_recall": at_one["bifurcation"].recall,
+            "bifurcation_fallout": at_one["bifurcation"].fallout,
             "median_angular_error_rad": med,
             "angular_errors": errors,
             "curves": curves,

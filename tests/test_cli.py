@@ -4,10 +4,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vesseltrees
 from vesseltrees.cli import main
 from vesseltrees.io import read_csv, read_json, read_point_cloud, read_tree
 
@@ -224,3 +227,14 @@ def test_evaluate_cyclic_ground_truth_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(gt_path) in err[0] and "cycle detected" in err[0]
+
+
+def test_python_m_vesseltrees_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        vesseltrees.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-m", "vesseltrees", "--help"],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: vesseltrees")

@@ -424,3 +424,5 @@ def test_oriented_sample_validation():
         OrientedSample([0, 0, math.nan], [1, 0, 0])
     with pytest.raises(ValueError):
         OrientedSample([0, 0, 0], [1, 0, 0], radius=-1.0)
+    with pytest.raises(ValueError):
+        OrientedSample([0, 0, 0], [1, 0, 0], radius=math.nan)

@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 from vesseltrees import graphs
-from vesseltrees.geometry import OrientedSample, SampleCloud, fit_arc, arc_weight
+from vesseltrees.geometry import (
+    COINCIDENT_TOL,
+    OrientedSample,
+    SampleCloud,
+    arc_weight,
+    batch_arc_geometry,
+    batch_arc_weights,
+    batch_confluence_angles,
+    batch_shorter_arc_lengths,
+    fit_arc,
+)
 from vesseltrees.graphs import (
+    NeighborSystem,
     anisotropic_knn,
     build_confluent_graph,
     build_geodesic_graph,
@@ -281,3 +292,129 @@ def test_oriented_sample_list_accepted():
     ]
     system = knn_neighbors(samples, k=1)
     assert pairs_set(system) == {(0, 1), (1, 2)}
+
+
+def reference_confluent_arcs(cloud, pairs, epsilon, elastic_lambda):
+    """Arcs as the two-direction kernel loop fits them: each direction
+    gathers its endpoints and goes through batch_arc_geometry,
+    batch_confluence_angles and batch_arc_weights on its own."""
+    pos, tan = cloud.positions, cloud.tangents
+    u, v = pairs[:, 0], pairs[:, 1]
+    ok = np.linalg.norm(pos[v] - pos[u], axis=1) > COINCIDENT_TOL
+    u, v = u[ok], v[ok]
+    tails, heads, weights = [], [], []
+    for a, b in ((u, v), (v, u)):
+        _, alpha, length, end_tan = batch_arc_geometry(pos[a], tan[a], pos[b])
+        conf = batch_confluence_angles(end_tan, tan[b])
+        w = batch_arc_weights(alpha, length, conf, epsilon, elastic_lambda)
+        keep = np.isfinite(w)
+        tails.append(a[keep])
+        heads.append(b[keep])
+        weights.append(w[keep])
+    tails = np.concatenate(tails).astype(np.int32)
+    heads = np.concatenate(heads).astype(np.int32)
+    order = np.lexsort((heads, tails))
+    return tails[order], heads[order], np.concatenate(weights)[order]
+
+
+def reference_geodesic_edges(cloud, pairs):
+    pos, tan = cloud.positions, cloud.tangents
+    u, v = pairs[:, 0], pairs[:, 1]
+    ok = np.linalg.norm(pos[v] - pos[u], axis=1) > COINCIDENT_TOL
+    u, v = u[ok], v[ok]
+    w = (batch_shorter_arc_lengths(pos[u], tan[u], pos[v])
+         + batch_shorter_arc_lengths(pos[v], tan[v], pos[u]))
+    return u.astype(np.int32), v.astype(np.int32), w
+
+
+def edge_case_cloud(rng, n):
+    """Random cloud with coincident samples, anti-parallel (degenerate)
+    start tangents that still land flow-aligned, chord-aligned tangents
+    and head-on pairs whose confluence angle is exactly pi."""
+    pos = rng.uniform(0, 6, (n, 3))
+    tan = rng.normal(size=(n, 3))
+    tan /= np.linalg.norm(tan, axis=1, keepdims=True)
+    pos[1] = pos[0]
+    pos[3] = pos[2]
+    for a, b in ((4, 5), (6, 7)):   # tangents both point from b toward a:
+        e = (pos[b] - pos[a]) / np.linalg.norm(pos[b] - pos[a])
+        tan[a] = tan[b] = -e        # a -> b degenerate, b -> a straight
+    for a, b in ((8, 9), (10, 11)):  # both point at each other
+        e = (pos[b] - pos[a]) / np.linalg.norm(pos[b] - pos[a])
+        tan[a], tan[b] = e, -e
+    return SampleCloud(pos, tan)
+
+
+def all_pairs(n):
+    u, v = np.triu_indices(n, k=1)
+    return NeighborSystem(k=n - 1, pairs=np.stack([u, v], axis=1))
+
+
+def assert_same_arcs(graph, expected):
+    tails, heads, weights = expected
+    assert np.array_equal(graph.tails, tails)
+    assert np.array_equal(graph.heads, heads)
+    assert np.array_equal(graph.weights.view(np.int64),
+                          weights.view(np.int64))
+
+
+@pytest.mark.parametrize("epsilon", [math.pi / 4, math.pi / 2, math.pi])
+@pytest.mark.parametrize("elastic_lambda", [0.0, 0.3])
+def test_confluent_graph_bit_identical_to_two_direction_loop(epsilon,
+                                                             elastic_lambda):
+    rng = np.random.default_rng(21)
+    for n in (12, 40, 90):
+        cloud = edge_case_cloud(rng, n)
+        system = all_pairs(n)
+        graph = build_confluent_graph(cloud, system, epsilon=epsilon,
+                                      elastic_lambda=elastic_lambda)
+        expected = reference_confluent_arcs(cloud, system.pairs, epsilon,
+                                            elastic_lambda)
+        assert_same_arcs(graph, expected)
+        arcs = set(zip(graph.tails.tolist(), graph.heads.tolist()))
+        assert not arcs & {(0, 1), (1, 0), (2, 3), (3, 2)}
+        assert (5, 4) in arcs and (4, 5) not in arcs
+        assert ((8, 9) in arcs) == (epsilon == math.pi)
+
+
+def test_confluent_graph_output_independent_of_chunks_and_threads(
+        monkeypatch):
+    rng = np.random.default_rng(22)
+    cloud = edge_case_cloud(rng, 50)
+    system = all_pairs(50)
+    expected = reference_confluent_arcs(cloud, system.pairs, math.pi / 2,
+                                        0.1)
+    expected_geo = reference_geodesic_edges(cloud, system.pairs)
+    for chunk in (1, 7, system.n_pairs):
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
+            monkeypatch.setattr(graphs, "_usable_cpus", lambda: workers)
+            graph = build_confluent_graph(cloud, system, epsilon=math.pi / 2,
+                                          elastic_lambda=0.1)
+            assert_same_arcs(graph, expected)
+            assert_same_arcs(build_geodesic_graph(cloud, system),
+                             expected_geo)
+
+
+def test_geodesic_graph_matches_reference_on_knn_clouds():
+    rng = np.random.default_rng(23)
+    for n in (30, 200):
+        cloud = edge_case_cloud(rng, n)
+        system = knn_neighbors(cloud, k=8)
+        assert_same_arcs(build_geodesic_graph(cloud, system),
+                         reference_geodesic_edges(cloud, system.pairs))
+        assert_same_arcs(
+            build_confluent_graph(cloud, system, epsilon=math.pi / 2),
+            reference_confluent_arcs(cloud, system.pairs, math.pi / 2, 0.0))
+
+
+def test_graphs_without_distinct_pairs_are_empty():
+    rng = np.random.default_rng(24)
+    cloud = edge_case_cloud(rng, 12)
+    for pairs in (np.empty((0, 2), dtype=np.int64), np.array([[0, 1]])):
+        system = NeighborSystem(k=1, pairs=pairs)
+        for graph in (build_confluent_graph(cloud, system, math.pi),
+                      build_geodesic_graph(cloud, system)):
+            assert graph.n_arcs == 0
+            assert graph.tails.dtype == np.int32
+            assert graph.weights.dtype == float

@@ -126,6 +126,11 @@ def test_neighbor_pairs_round_trip(tmp_path):
     write_neighbor_pairs(path, system)
     back = read_neighbor_pairs(path)
     np.testing.assert_array_equal(back.pairs, system.pairs)
+    # the same bytes as a CSV of integer cells
+    for pairs in (system.pairs, np.empty((0, 2), dtype=np.int64)):
+        write_neighbor_pairs(path, NeighborSystem(k=2, pairs=pairs))
+        write_csv(tmp_path / "cells.csv", ["u", "v"], pairs.tolist())
+        assert path.read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_neighbor_pairs_header_only_and_malformed(tmp_path, recwarn):

@@ -283,6 +283,17 @@ def test_connectivity_roc_parent_pairs():
     assert fallout == 0.0
 
 
+def test_connectivity_roc_full_coverage_recall_is_one():
+    # All pairs cover every tree; unclipped, these trees' covered length
+    # sums to one ulp above their total length.
+    for seed in (5, 9, 41):
+        gt = generate_tree(n_leaves=2, domain_size=30.0, seed=seed)
+        cloud = sample_centerline(gt, SamplerConfig(seed=seed))
+        system = knn_neighbors(cloud, k=len(cloud) - 1)
+        recall, _ = connectivity_roc(gt, system, cloud)
+        assert recall == 1.0
+
+
 def test_connectivity_roc_sibling_bridges():
     gt = bif_tree()
     cloud = SampleCloud(gt.positions, np.tile([1.0, 0, 0], (4, 1)))

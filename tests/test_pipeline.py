@@ -9,9 +9,9 @@ import pytest
 from vesseltrees.geometry import SampleCloud
 from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph, \
     knn_neighbors
-from vesseltrees.metrics import MatchTolerance, centerline_roc, \
-    median_angular_error
-from vesseltrees.io import read_csv
+from vesseltrees.metrics import MatchTolerance, bifurcation_roc, \
+    centerline_roc, median_angular_error
+from vesseltrees.io import read_csv, read_point_cloud, read_tree
 from vesseltrees.pipeline import PipelineConfig, evaluate_corpus, \
     reconstruct_corpus, reconstruct_cloud, resolve_root, synth_corpus
 from vesseltrees.solvers import minimum_arborescence, minimum_spanning_tree
@@ -151,3 +151,35 @@ def test_evaluate_corpus_scores_gt_without_bifurcations(tmp_path):
     assert math.isnan(float(agg[0][5])) and math.isnan(float(agg[0][7]))
     _, roc = read_csv(out / "roc_bifurcation.csv")
     assert all(math.isnan(float(row[3])) for row in roc)
+
+
+@pytest.mark.parametrize("scales", [(2.0, 0.5, 2.0), (1.0, 3.0, 0.5, 1.0)])
+def test_evaluate_corpus_per_tree_point_and_curve_alignment(tmp_path, scales):
+    # Per-tree columns are the scale-1.0 point of the one sweep per kind;
+    # curves[kind][i] stays aligned with sorted(tol_scales), duplicates and
+    # a missing or repeated 1.0 included.
+    corpus, run, out = tmp_path / "corpus", tmp_path / "run", tmp_path / "ev"
+    manifest = synth_corpus(corpus, n_trees=1, n_leaves=4, domain_size=50.0,
+                            seed=5)
+    reconstruct_corpus(corpus, run, PipelineConfig(k=40))
+    tol = MatchTolerance(zeta=0.8)
+    (row,) = evaluate_corpus(corpus, run, out, tol=tol, step=0.4,
+                             tol_scales=scales)
+    item = manifest["items"][0]
+    gt = read_tree(corpus / item["tree"])
+    cloud = read_point_cloud(corpus / item["clouds"][0]["path"])
+    recon = read_tree(run / "trees" / "recon_000_l00.txt", cloud=cloud)
+    assert (row["centerline_recall"], row["centerline_fallout"]) == \
+        centerline_roc(gt, recon, tol, 0.4)
+    b_recall, b_fallout = bifurcation_roc(gt, recon, tol)
+    assert row["bifurcation_fallout"] == b_fallout
+    assert row["bifurcation_recall"] == b_recall
+    for kind, single in (("centerline", centerline_roc),
+                         ("bifurcation", bifurcation_roc)):
+        curve = row["curves"][kind]
+        assert [p.threshold for p in curve] == sorted(scales)
+        for point, scale in zip(curve, sorted(scales)):
+            assert (point.recall, point.fallout) == \
+                single(gt, recon, tol.scaled(scale), 0.4)
+        _, roc = read_csv(out / f"roc_{kind}.csv")
+        assert [float(r[2]) for r in roc] == sorted(scales)
