@@ -17,6 +17,15 @@ directions, applies the confluence gate, and computes arc length and
 weight only for the arcs that pass it. Measured on 2 CPUs: the dense-k500
 benchmark workload (about 4.8k samples, K=500, 1.4M pairs) peaks at about
 290 MB RSS over its whole synth, reconstruct and evaluate run.
+
+An isotropic system also keeps, per node v, its own neighbourhood size
+K(v) and its kNN radius d_K(v), the distance of the farthest of the
+samples v selected. A sample v did not select is at least d_K(v) from v,
+so an arc into v that the graph leaves out costs at least d_K(v): it is
+at least as long as its chord, and gated arcs cost infinity. That is the
+bound against which ``pipeline`` checks the solver's dual potential P(v)
+to certify a tree built from small neighbourhoods (see ``solvers``);
+``widen_neighbors`` grows only the neighbourhoods that fail the check.
 """
 
 from __future__ import annotations
@@ -61,13 +70,21 @@ class NeighborSystem:
 
     ``pairs`` is an (M, 2) int array with ``pairs[:, 0] < pairs[:, 1]``,
     lexicographically sorted and duplicate-free. A pair is present as soon
-    as either endpoint selected the other as a neighbor.
+    as either endpoint selected the other as a neighbor. ``k`` is the
+    neighbourhood size asked for, and no node selected more than ``k``.
+
+    Isotropic systems from ``knn_neighbors`` and ``widen_neighbors`` also
+    carry, per node, ``node_k``, the number of nearest samples it selected,
+    and ``kth_distance``, the distance to the farthest of them: every
+    sample it did not select is at least that far away.
     """
 
     k: int
     pairs: np.ndarray
     flavor: str = "isotropic"
     aspect_ratio_sq: float | None = None
+    node_k: np.ndarray | None = None
+    kth_distance: np.ndarray | None = None
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
@@ -92,14 +109,30 @@ def _rowwise_sorted(dist, idx):
     scipy returns rows sorted by distance but leaves equal-distance ties in
     an unspecified order; sorting on the index as a secondary key makes
     neighborhoods reproducible on gridded inputs. ``knn_neighbors`` needs
-    this only for crowded rows, whose last column is dropped;
-    ``anisotropic_knn`` re-ranks every row by its rescored distance.
+    this only for crowded rows, whose last column is dropped, and
+    ``_smallest`` only for rows tied at their k-th distance.
     """
     rows, cols = dist.shape
     row_key = np.repeat(np.arange(rows), cols)
     order = np.lexsort((idx.ravel(), dist.ravel(), row_key))
     return (dist.ravel()[order].reshape(rows, cols),
             idx.ravel()[order].reshape(rows, cols))
+
+
+def _smallest(dist, idx, k):
+    """``idx`` of each row's k smallest ``dist``, ties broken by index.
+
+    One partition finds each row's k-th smallest distance. Only rows with
+    more entries at or below it than k, which have a tie there, are sorted
+    by (distance, index) to pick the lowest indices among the tied.
+    """
+    sel = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(dist, sel, axis=1).max(axis=1, keepdims=True)
+    nbr = np.take_along_axis(idx, sel, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
+    if tied.size:
+        nbr[tied] = _rowwise_sorted(dist[tied], idx[tied])[1][:, :k]
+    return nbr
 
 
 def _encode_pairs(a, b, n):
@@ -120,37 +153,84 @@ def _sorted_unique(codes):
     return codes[first]
 
 
+def _nearest_codes(tree, positions, rows, k, n):
+    """Pair codes of each row's k nearest other samples, and each row's d_k.
+
+    Rows are queried in chunks. A row that holds its own index keeps all k
+    other neighbors of the k + 1 queried. Only a crowded row, where more
+    than k + 1 coincident samples push the query point out of its own
+    result, needs a tie-break: it keeps the k smallest of its row by
+    (distance, index). Either way the last queried distance bounds every
+    sample the row did not keep.
+    """
+    codes, kth = [], np.empty(rows.size)
+    for lo in range(0, rows.size, _QUERY_CHUNK):
+        part = rows[lo:lo + _QUERY_CHUNK]
+        dist, idx = tree.query(positions[part], k=k + 1, workers=-1)
+        keep = idx != part[:, None]
+        crowded = np.flatnonzero(keep.all(axis=1))
+        if crowded.size:
+            _, idx[crowded] = _rowwise_sorted(dist[crowded], idx[crowded])
+            keep[crowded, -1] = False
+        codes.append(_encode_pairs(np.repeat(part, k), idx[keep], n))
+        kth[lo:lo + part.size] = dist[:, -1]
+    return np.concatenate(codes), kth
+
+
 def knn_neighbors(samples, k: int) -> NeighborSystem:
     """Symmetrized k-nearest-neighbor pairs under Euclidean distance.
 
-    Uses a k-d tree, so the construction is O(K |V| log |V|). A row that
-    holds its own index keeps all k other neighbors of the k + 1 queried.
-    Only a crowded row, where more than k + 1 coincident samples push the
-    query point out of its own result, needs a tie-break: it keeps the k
-    smallest of its row by (distance, index). Which of several samples tied
-    at the last queried distance enter a row is the k-d tree's choice, not
-    the lowest index. ``k`` is clamped to |V| - 1 with a warning when too
-    large.
+    Uses a k-d tree, so the construction is O(K |V| log |V|); see
+    ``_nearest_codes`` for the rows crowded by coincident samples. Which of
+    several samples tied at the last queried distance enter a row is the
+    k-d tree's choice, not the lowest index. ``k`` is clamped to |V| - 1
+    with a warning when too large.
     """
     cloud = as_cloud(samples)
     n = len(cloud)
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
     k = _clamp_k(k, n, "k")
+    codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
+                                np.arange(n), k, n)
+    return NeighborSystem(k=k, pairs=_decode_pairs(_sorted_unique(codes), n),
+                          flavor="isotropic", node_k=np.full(n, k),
+                          kth_distance=kth)
+
+
+def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
+                    k) -> NeighborSystem:
+    """``neighbors`` with only the listed nodes re-queried at a larger size.
+
+    ``nodes`` are distinct sample indices and ``k`` their new sizes (one
+    int for all, or one per node), each at least the node's current
+    ``node_k`` and at most |V| - 1. ``neighbors`` is an isotropic system
+    of ``knn_neighbors`` or of an earlier widening; the listed nodes' new
+    pairs join its pairs, and their ``node_k`` and ``kth_distance`` are
+    updated. The system's ``k`` becomes the largest size now in use if
+    that exceeds it.
+    """
+    cloud = as_cloud(samples)
+    n = len(cloud)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    sizes = np.broadcast_to(np.asarray(k, dtype=np.int64), nodes.shape)
+    if nodes.size and not (np.all(sizes >= neighbors.node_k[nodes])
+                           and sizes.max() < n):
+        raise ValueError("new sizes must lie in [node_k, |V| - 1]")
+    node_k = neighbors.node_k.copy()
+    kth = neighbors.kth_distance.copy()
+    codes = [_encode_pairs(neighbors.pairs[:, 0], neighbors.pairs[:, 1], n)]
     tree = cKDTree(cloud.positions)
-    codes = []
-    for lo in range(0, n, _QUERY_CHUNK):
-        hi = min(lo + _QUERY_CHUNK, n)
-        dist, idx = tree.query(cloud.positions[lo:hi], k=k + 1, workers=-1)
-        rows = np.arange(lo, hi)
-        keep = idx != rows[:, None]
-        crowded = np.flatnonzero(keep.all(axis=1))
-        if crowded.size:
-            _, idx[crowded] = _rowwise_sorted(dist[crowded], idx[crowded])
-            keep[crowded, -1] = False
-        codes.append(_encode_pairs(np.repeat(rows, k), idx[keep], n))
+    for size in np.unique(sizes):
+        rows = nodes[sizes == size]
+        node_k[rows] = size
+        size_codes, kth[rows] = _nearest_codes(tree, cloud.positions, rows,
+                                               int(size), n)
+        codes.append(size_codes)
     pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
-    return NeighborSystem(k=k, pairs=pairs, flavor="isotropic")
+    return NeighborSystem(k=max(neighbors.k, int(node_k.max())), pairs=pairs,
+                          flavor="isotropic", node_k=node_k,
+                          kth_distance=kth)
 
 
 def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
@@ -183,9 +263,8 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
         d_par = np.einsum("rkj,rj->rk", disp, cloud.tangents[lo:hi])
         maha = dist * dist - d_par * d_par * (1.0 - 1.0 / aspect_ratio_sq)
         maha[idx == rows[:, None]] = np.inf  # exclude self
-        maha, idx = _rowwise_sorted(maha, idx)
-        nbr = idx[:, :k_final]
-        codes.append(_encode_pairs(np.repeat(rows, k_final), nbr.ravel(), n))
+        codes.append(_encode_pairs(np.repeat(rows, k_final),
+                                   _smallest(maha, idx, k_final).ravel(), n))
     pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
     return NeighborSystem(k=k_final, pairs=pairs, flavor="anisotropic",
                           aspect_ratio_sq=aspect_ratio_sq)

@@ -12,6 +12,7 @@ a temp file and an atomic rename.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -55,24 +56,47 @@ def write_point_cloud(path, cloud: SampleCloud):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_point_cloud(path) -> SampleCloud:
+def _loadtxt(source, ndmin=2, **kwargs):
+    """``np.loadtxt``, quiet on a file without data rows.
+
+    Raises ValueError wherever the source does not parse as one table.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, ndmin=ndmin, **kwargs)
+
+
+def _parse_cloud_lines(path, text):
+    """Line-by-line parse of a point cloud, naming the first bad line."""
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            cols = body.split()
-            if len(cols) not in (6, 7):
-                raise ValueError(f"{path}:{line_no}: expected 6 or 7 columns,"
-                                 f" got {len(cols)}")
-            rows.append([float(c) for c in cols])
+    for line_no, line in enumerate(text.split("\n"), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        cols = body.split()
+        if len(cols) not in (6, 7):
+            raise ValueError(f"{path}:{line_no}: expected 6 or 7 columns,"
+                             f" got {len(cols)}")
+        rows.append([float(c) for c in cols])
     if not rows:
         raise ValueError(f"{path}: no samples found")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {widths}")
-    data = np.array(rows)
+    return np.array(rows)
+
+
+def read_point_cloud(path) -> SampleCloud:
+    """Load a point cloud: one ``np.loadtxt``, and a line-by-line parse
+    only when that fails, for an error message that names the line."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        data = _loadtxt(io.StringIO(text), comments="#")
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] not in (6, 7):
+        data = _parse_cloud_lines(path, text)
     radii = data[:, 6] if data.shape[1] == 7 else None
     return SampleCloud(data[:, 0:3], data[:, 3:6], radii)
 
@@ -95,28 +119,28 @@ def write_tree(path, tree):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_tree_rows(path):
+def _parse_tree_lines(path, text):
+    """Line-by-line parse of a tree file, naming the first bad line."""
     root = None
     domain_size = None
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if stripped.startswith("# domain_size"):
-                domain_size = float(stripped.split()[2])
-                continue
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            cols = body.split()
-            if cols[0] == "root":
-                root = int(cols[1])
-                continue
-            if len(cols) not in (6, 8):
-                raise ValueError(f"{path}:{line_no}: expected 6 or 8 columns,"
-                                 f" got {len(cols)}")
-            rows.append((int(cols[0]), int(cols[1]),
-                         [float(c) for c in cols[2:]]))
+    for line_no, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if stripped.startswith("# domain_size"):
+            domain_size = float(stripped.split()[2])
+            continue
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        cols = body.split()
+        if cols[0] == "root":
+            root = int(cols[1])
+            continue
+        if len(cols) not in (6, 8):
+            raise ValueError(f"{path}:{line_no}: expected 6 or 8 columns,"
+                             f" got {len(cols)}")
+        rows.append((int(cols[0]), int(cols[1]),
+                     [float(c) for c in cols[2:]]))
     if root is None:
         raise ValueError(f"{path}: missing 'root <index>' header")
     if not rows:
@@ -124,7 +148,49 @@ def _parse_tree_rows(path):
     widths = {len(r[2]) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts")
-    return root, domain_size, rows, widths.pop()
+    ids = np.array([r[:2] for r in rows], dtype=np.int64)
+    return root, domain_size, ids, np.array([r[2] for r in rows])
+
+
+def _parse_tree_table(text):
+    """The same parse in one ``np.loadtxt``; None where it cannot tell.
+
+    It reads the layout ``write_tree`` gives: header lines (comments, the
+    ``root`` line and ``# domain_size``) and then node rows only, 6 or 8
+    columns wide, whose two id columns parse as integers.
+    """
+    root = domain_size = first = None
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:end]
+        cols = line.split("#", 1)[0].split()
+        if cols and cols[0] != "root":
+            first = cols
+            break
+        if line.strip().startswith("# domain_size"):
+            domain_size = float(line.split()[2])
+        elif cols:
+            root = int(cols[1])
+        pos = end
+    rows = text[pos:]
+    if root is None or first is None or len(first) not in (6, 8) \
+            or "root" in rows or "# domain_size" in rows:
+        return None
+    try:
+        table = _loadtxt(io.StringIO(rows), ndmin=1, comments="#", dtype=[
+            ("ids", np.int64, (2,)), ("vals", float, (len(first) - 2,))])
+    except ValueError:
+        return None
+    return root, domain_size, table["ids"], table["vals"]
+
+
+def _parse_tree_rows(path):
+    """``(root, domain_size, ids, vals)``: (n, 2) node and parent ids and
+    the (n, 4 or 6) float columns of every row, in file order."""
+    with open(path) as fh:
+        text = fh.read()
+    return _parse_tree_table(text) or _parse_tree_lines(path, text)
 
 
 def read_tree(path, cloud: SampleCloud | None = None):
@@ -135,27 +201,29 @@ def read_tree(path, cloud: SampleCloud | None = None):
     straight chords while keeping the stored alpha/length/weight values.
     A tree that fails ``validate()`` raises ValueError naming the file.
     """
-    root, domain_size, rows, width = _parse_tree_rows(path)
-    if width == 4:  # node parent + 4 floats: ground truth with radius
-        n = len(rows)
-        ids = sorted(r[0] for r in rows)
-        if ids != list(range(n)):
+    root, domain_size, ids, vals = _parse_tree_rows(path)
+    nodes, parents = ids[:, 0], ids[:, 1]
+    gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
+    if gt:
+        n = nodes.size
+        if not np.array_equal(np.sort(nodes), np.arange(n)):
             raise ValueError(f"{path}: ground-truth node ids must be "
                              "contiguous from 0")
         positions = np.zeros((n, 3))
         radii = np.zeros(n)
         parent = np.zeros(n, dtype=np.int64)
-        for node, par, vals in rows:
-            positions[node] = vals[0:3]
-            radii[node] = vals[3]
-            parent[node] = par
+        positions[nodes] = vals[:, 0:3]
+        radii[nodes] = vals[:, 3]
+        parent[nodes] = parents
         tree = GroundTruthTree(positions=positions, radii=radii,
                                parent=parent,
                                domain_size=domain_size or 0.0)
     else:
-        if min(r[0] for r in rows) < 0:
+        if nodes.min() < 0:
             raise ValueError(f"{path}: node ids must be >= 0")
-        n = max(r[0] for r in rows) + 1
+        if np.unique(nodes).size != nodes.size:
+            raise ValueError(f"{path}: node ids must be distinct")
+        n = int(nodes.max()) + 1
         if cloud is not None:
             if len(cloud) < n:
                 raise ValueError(f"{path}: tree references node {n - 1} but "
@@ -166,12 +234,11 @@ def read_tree(path, cloud: SampleCloud | None = None):
         edge_alpha = np.full(n, np.nan)
         edge_length = np.full(n, np.nan)
         edge_weight = np.full(n, np.nan)
-        for node, par, vals in rows:
-            parent[node] = par
-            positions[node] = vals[0:3]
-            edge_alpha[node] = vals[3]
-            edge_length[node] = vals[4]
-            edge_weight[node] = vals[5]
+        parent[nodes] = parents
+        positions[nodes] = vals[:, 0:3]
+        edge_alpha[nodes] = vals[:, 3]
+        edge_length[nodes] = vals[:, 4]
+        edge_weight[nodes] = vals[:, 5]
         total = float(np.sum(edge_weight[parent >= 0]))
         tree = VesselTree(root=root, parent=parent, positions=positions,
                           edge_weight=edge_weight, edge_alpha=edge_alpha,
@@ -180,7 +247,7 @@ def read_tree(path, cloud: SampleCloud | None = None):
         tree.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if cloud is not None and width != 4:   # arcs start at the parent sample
+    if cloud is not None and not gt:   # arcs start at the parent sample
         positions[parent == EXCLUDED] = cloud.positions[parent == EXCLUDED]
         has_edge = parent >= 0
         tree.edge_start_tangent = np.full((n, 3), np.nan)
@@ -208,6 +275,18 @@ def write_csv(path, header, rows):
     atomic_write_text(path, "\n".join(text_rows) + "\n")
 
 
+def write_csv_columns(path, header, columns):
+    """``write_csv`` of the rows that 1-D arrays hold side by side.
+
+    Integer arrays give ``str`` cells and float arrays ``repr`` cells, so
+    the bytes equal those of ``write_csv`` on rows of int and float cells.
+    """
+    cells = [map(repr if column.dtype.kind == "f" else str, column.tolist())
+             for column in map(np.asarray, columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def read_csv(path):
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -224,11 +303,8 @@ def write_neighbor_pairs(path, system):
 
 def read_neighbor_pairs(path):
     """Load a ``u,v`` pair CSV; a header-only file gives no pairs."""
-    with warnings.catch_warnings():
-        # loadtxt warns on a file with no data rows, a valid empty system
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        pairs = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64,
-                           ndmin=2)
+    # a file with no data rows is a valid empty system
+    pairs = _loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.shape[1] != 2:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import io as vio
 from .graphs import anisotropic_knn, build_confluent_graph, \
-    build_geodesic_graph, knn_neighbors
+    build_geodesic_graph, knn_neighbors, widen_neighbors
 # bifurcation_roc, centerline_roc and median_angular_error are not called
 # here, but perfbench/spans.py wraps them as globals of this module.
 from .metrics import (
@@ -37,6 +38,7 @@ from .metrics import (
 )
 from .solvers import minimum_arborescence, minimum_spanning_tree
 from .synth import SamplerConfig, generate_tree, sample_centerline
+from .trees import EXCLUDED
 
 SWEEP_PARAMS = {
     "tangent-noise": "tangent_noise_std_rad",
@@ -46,12 +48,22 @@ SWEEP_PARAMS = {
 }
 DEFAULT_TOL_SCALES = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
 
+# Neighbourhood size every node starts from in certified confluent mode
+# (see _certified_arborescence).
+CERTIFY_K0 = 8
+# Relative slack of the certificate test P(v) <= d_K(v), far above the
+# rounding error of either side.
+CERTIFY_RTOL = 1e-9
+
 
 @dataclass
 class PipelineConfig:
     """Reconstruction and evaluation knobs."""
 
     mode: str = "confluent"            # confluent | geodesic
+    # Isotropic kNN size. In confluent mode it is the cap on each node's
+    # neighbourhood, grown from CERTIFY_K0 until the tree is certified;
+    # geodesic and anisotropic modes use it as the fixed size.
     k: int = 500
     anisotropic: bool = False
     k_final: int = 4
@@ -100,33 +112,137 @@ def build_neighbors(cloud, cfg: PipelineConfig):
     return knn_neighbors(cloud, k=min(cfg.k, len(cloud) - 1))
 
 
-def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
-    """Neighbors -> graph -> tree for one cloud; returns the run record."""
-    started = time.perf_counter()
-    neighbors = build_neighbors(cloud, cfg)
-    built_neighbors = time.perf_counter()
-    if cfg.mode == "confluent":
+def _uncertified(tree, neighbors) -> np.ndarray:
+    """Mask of the nodes whose dual certificate fails.
+
+    A reached node passes when its potential P(v) is at most its kNN radius
+    d_K(v): then no arc the graph left out can enter it more cheaply. An
+    unreached node passes only if it selected every other sample, so no
+    arc into it was left out.
+    """
+    n = tree.parent.size
+    unreached = (tree.parent == EXCLUDED) & (neighbors.node_k < n - 1)
+    with np.errstate(invalid="ignore"):     # NaN potential where unreached
+        too_dear = tree.potential > neighbors.kth_distance * (1.0
+                                                              - CERTIFY_RTOL)
+    return unreached | too_dear
+
+
+def _certified_arborescence(cloud, cfg: PipelineConfig, root: int, cap: int,
+                            times: dict):
+    """The fixed-``cap`` confluent tree, from the smallest certified graph.
+
+    Every node starts at ``CERTIFY_K0`` neighbours. Each round builds and
+    solves the graph and checks every node's certificate. The dual of the
+    solve then holds for every arc left out, so a tree that passes at every
+    node has the least weight over all N(N - 1) arcs, which the fixed-k
+    graph's tree has too. A node that fails grows its neighbourhood, up to
+    ``cap``, to at least twice its size K, and to K P(v) / d_K(v) if that is
+    more: the size at which samples spread along a vessel as densely as
+    around v now would reach out to P(v). An unreached node goes to
+    ``cap`` at once. If a node fails at ``cap``, the tree is that of the
+    fixed-``cap`` graph, solved once more unless every node already is at
+    ``cap``. Warnings of a round are re-issued only if its tree is kept.
+
+    Returns ``(tree, graph, neighbors, loop_stats)``.
+    """
+    def solve(neighbors):
+        t0 = time.perf_counter()
         graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
                                       elastic_lambda=cfg.elastic_lambda)
-        built_graph = time.perf_counter()
+        t1 = time.perf_counter()
         tree = minimum_arborescence(graph, root)
+        times["graph_s"] += t1 - t0
+        times["solve_s"] += time.perf_counter() - t1
+        return graph, tree
+
+    t0 = time.perf_counter()
+    neighbors = replace(knn_neighbors(cloud, min(CERTIFY_K0, cap)), k=cap)
+    times["neighbors_s"] += time.perf_counter() - t0
+    rounds = 0
+    while True:
+        rounds += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            graph, tree = solve(neighbors)
+        t0 = time.perf_counter()
+        failed = np.flatnonzero(_uncertified(tree, neighbors))
+        if failed.size == 0 or np.any(neighbors.node_k[failed] >= cap):
+            times["solve_s"] += time.perf_counter() - t0
+            break
+        k_now = neighbors.node_k[failed]
+        with np.errstate(divide="ignore"):   # d_K is 0 among coincident
+            spread = np.ceil(k_now * tree.potential[failed]
+                             / neighbors.kth_distance[failed])
+        grown = np.minimum(np.fmax(2 * k_now, spread), cap).astype(np.int64)
+        grown[tree.parent[failed] == EXCLUDED] = cap
+        neighbors = widen_neighbors(cloud, neighbors, failed, grown)
+        times["neighbors_s"] += time.perf_counter() - t0
+
+    loop = {"k_rounds": rounds, "certified": failed.size == 0,
+            "uncertified_nodes": int(failed.size)}
+    # a round with every node at the cap solved the fixed-cap graph
+    if failed.size == 0 or np.all(neighbors.node_k == cap):
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno)
     else:
-        graph = build_geodesic_graph(cloud, neighbors)
-        built_graph = time.perf_counter()
-        tree = minimum_spanning_tree(graph, root)
-    solved = time.perf_counter()
+        t0 = time.perf_counter()
+        neighbors = knn_neighbors(cloud, cap)
+        times["neighbors_s"] += time.perf_counter() - t0
+        graph, tree = solve(neighbors)
+        loop["k_rounds"] += 1
+    loop["k_max"] = int(neighbors.node_k.max())
+    return tree, graph, neighbors, loop
+
+
+def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
+    """Neighbors -> graph -> tree for one cloud; returns the run record.
+
+    Isotropic confluent mode certifies its tree from per-node neighbourhoods
+    (see ``_certified_arborescence``); the record's neighbor system is then
+    the one the last solve used, with ``k`` the cap. Other modes build one
+    system of fixed size.
+    """
+    started = time.perf_counter()
+    times = dict.fromkeys(("neighbors_s", "graph_s", "solve_s"), 0.0)
+    n = len(cloud)
+    if cfg.mode == "confluent" and not cfg.anisotropic:
+        tree, graph, neighbors, loop = _certified_arborescence(
+            cloud, cfg, root, min(cfg.k, n - 1), times)
+        solved = time.perf_counter()
+    else:
+        neighbors = build_neighbors(cloud, cfg)
+        built_neighbors = time.perf_counter()
+        if cfg.mode == "confluent":
+            graph = build_confluent_graph(
+                cloud, neighbors, epsilon=cfg.epsilon,
+                elastic_lambda=cfg.elastic_lambda)
+            built_graph = time.perf_counter()
+            tree = minimum_arborescence(graph, root)
+        else:
+            graph = build_geodesic_graph(cloud, neighbors)
+            built_graph = time.perf_counter()
+            tree = minimum_spanning_tree(graph, root)
+        solved = time.perf_counter()
+        times["neighbors_s"] = built_neighbors - started
+        times["graph_s"] = built_graph - built_neighbors
+        times["solve_s"] = solved - built_graph
+        # the certificate covers isotropic confluent graphs only
+        loop = {"k_rounds": 1, "k_max": int(neighbors.k),
+                "certified": None, "uncertified_nodes": None}
     stats = {
         "mode": cfg.mode,
         "root": int(root),
-        "n_samples": len(cloud),
+        "n_samples": n,
         "n_neighbor_pairs": int(neighbors.n_pairs),
         "n_arcs": int(graph.n_arcs),
         "n_tree_nodes": int(tree.n_nodes),
         "n_excluded": int(tree.excluded.size),
         "total_weight": float(tree.total_weight),
-        "neighbors_s": built_neighbors - started,
-        "graph_s": built_graph - built_neighbors,
-        "solve_s": solved - built_graph,
+        "k_clamped": cfg.k > n - 1,
+        **loop,
+        **times,
         "wall_time_s": solved - started,
     }
     return tree, stats, neighbors
@@ -240,6 +356,8 @@ def _reconstruct_item(args):
         vio.write_tree(os.path.join(out_dir, "trees", name + ".txt"), tree)
         vio.write_json(os.path.join(out_dir, "stats", name + ".json"), stats)
         if dump_neighbors:
+            if stats["certified"]:   # the dump is the fixed-k system
+                neighbors = build_neighbors(cloud, cfg)
             vio.write_neighbor_pairs(
                 os.path.join(out_dir, "neighbors", name + ".csv"), neighbors)
         results.append((item["id"], cloud_entry["level"], stats))
@@ -460,16 +578,13 @@ def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
         graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
                                       elastic_lambda=cfg.elastic_lambda)
         alpha, length, _ = graph.arc_geometry(graph.tails, graph.heads)
-        rows = [(int(t), int(h), float(w), float(al), float(le))
-                for t, h, w, al, le in zip(graph.tails, graph.heads,
-                                           graph.weights, alpha, length)]
-        vio.write_csv(out_path, ["tail", "head", "weight", "alpha", "length"],
-                      rows)
+        vio.write_csv_columns(
+            out_path, ["tail", "head", "weight", "alpha", "length"],
+            [graph.tails, graph.heads, graph.weights, alpha, length])
     else:
         graph = build_geodesic_graph(cloud, neighbors)
-        rows = [(int(u), int(v), float(w))
-                for u, v, w in zip(graph.tails, graph.heads, graph.weights)]
-        vio.write_csv(out_path, ["u", "v", "weight"], rows)
+        vio.write_csv_columns(out_path, ["u", "v", "weight"],
+                              [graph.tails, graph.heads, graph.weights])
     return {"n_arcs": int(graph.n_arcs)}
 
 

@@ -13,6 +13,18 @@ a 2-core x86 machine. The spanning tree is scipy's Kruskal on each edge's
 
 Ties are broken by lowest arc index everywhere, which makes both solvers
 deterministic for a given input ordering.
+
+The arborescence solver also returns the optimal dual it builds on the way
+(Edmonds 1967; Fulkerson 1974). Every supernode S, original nodes included,
+gets y_S >= 0: its least adjusted entering weight in the round it is
+contracted into a cycle, or in the last round if it never is. The arc
+weights minus the y_S of every S an arc enters stay >= 0, and the tree arcs
+meet them with equality, so the y_S certify the tree's optimality. The
+solver reports them per node as the potential P(v), the sum of y_S over
+every S that contains v. An arc u -> v that the graph left out can only
+improve the tree if its weight is below P(v): that is the bound the
+certified neighbour count in ``pipeline`` checks against each node's kNN
+radius.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ class VesselTree(ParentTree):
     edge_length: np.ndarray
     total_weight: float
     edge_start_tangent: np.ndarray | None = None
+    potential: np.ndarray | None = None
 
     radii = None
 
@@ -84,10 +97,12 @@ def _find_cycles(succ, root):
 def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     """Minimum-weight spanning arborescence over nodes reachable from root.
 
-    Returns ``(parent, arc_index)`` arrays of length ``n_nodes``: parent is
-    ``NO_PARENT`` at the root and ``EXCLUDED`` for unreachable nodes;
-    ``arc_index[v]`` is the index into the input arrays of the arc chosen
-    to enter ``v`` (-1 where none).
+    Returns ``(parent, arc_index, potential)`` arrays of length
+    ``n_nodes``: parent is ``NO_PARENT`` at the root and ``EXCLUDED`` for
+    unreachable nodes; ``arc_index[v]`` is the index into the input arrays
+    of the arc chosen to enter ``v`` (-1 where none); ``potential[v]`` is
+    the dual potential P(v) of the module docstring, 0 at the root and NaN
+    for unreachable nodes.
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
@@ -98,13 +113,15 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     parent = np.full(n_nodes, EXCLUDED, dtype=np.int64)
     arc_index = np.full(n_nodes, -1, dtype=np.int64)
     parent[root] = NO_PARENT
+    potential = np.full(n_nodes, np.nan)
+    potential[root] = 0.0
 
     valid = np.isfinite(weights) & (tails != heads) & (heads != root)
     reach = reachable_mask(n_nodes, tails[valid], heads[valid], root)
     keep = valid & reach[tails] & reach[heads]
     arc_ids = np.flatnonzero(keep)
     if arc_ids.size == 0:
-        return parent, arc_index
+        return parent, arc_index, potential
 
     cur_t = tails[arc_ids].copy()
     cur_h = heads[arc_ids].copy()
@@ -112,6 +129,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
 
     # Supernodes created by contraction get fresh ids above n_nodes.
     parent_super = np.full(2 * n_nodes, -1, dtype=np.int64)
+    dual = np.zeros(2 * n_nodes)       # y_S of every supernode S
     records = []
     next_id = n_nodes
 
@@ -145,6 +163,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
                 remap[m] = new_id
                 in_cycle[m] = True
 
+        dual[:in_cycle.size][in_cycle] = best_w[in_cycle]
         adjust = in_cycle[cur_h]
         adj_w[adjust] -= best_w[cur_h[adjust]]
         cur_t = remap[cur_t]
@@ -153,8 +172,12 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
         arc_ids, cur_t, cur_h, adj_w = (arc_ids[alive], cur_t[alive],
                                         cur_h[alive], adj_w[alive])
 
+    dual[sel_heads] = best_w[sel_heads]
     enter_sel = np.full(next_id, -1, dtype=np.int64)
     enter_sel[sel_heads] = arc_ids[sel_pos]
+    # Records run outermost first in reverse, so each supernode's dual
+    # already holds the sum over its enclosing supernodes when its members
+    # add it.
     for new_id, members, enter in reversed(records):
         a = int(enter_sel[new_id])
         x = int(heads[a])
@@ -162,12 +185,14 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
             x = int(parent_super[x])
         for m in members:
             enter_sel[m] = a if m == x else enter[m]
+        dual[members] += dual[new_id]
 
     nodes = np.flatnonzero(reach)
     nodes = nodes[nodes != root]
     arc_index[nodes] = enter_sel[nodes]
     parent[nodes] = tails[arc_index[nodes]]
-    return parent, arc_index
+    potential[nodes] = dual[nodes]
+    return parent, arc_index, potential
 
 
 def kruskal_forest(n_nodes, us, vs, weights):
@@ -232,12 +257,14 @@ def minimum_arborescence(graph: TubularGraph, root: int) -> VesselTree:
     """
     if graph.mode != "confluent":
         raise ValueError("minimum_arborescence expects a directed graph")
-    parent, arc_index = chu_liu_edmonds(graph.n_nodes, graph.tails,
-                                        graph.heads, graph.weights, root)
+    parent, arc_index, potential = chu_liu_edmonds(
+        graph.n_nodes, graph.tails, graph.heads, graph.weights, root)
     if graph.n_nodes > 1 and np.sum(parent >= 0) == 0:
         warnings.warn("no nodes reachable from the root; "
                       "returning a single-node tree")
-    return _tree_from_parent(graph, parent, arc_index, root, directed=True)
+    tree = _tree_from_parent(graph, parent, arc_index, root, directed=True)
+    tree.potential = potential
+    return tree
 
 
 def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:

@@ -1,0 +1,184 @@
+"""The certified neighbour count of isotropic confluent reconstruction.
+
+``reconstruct_cloud`` grows per-node neighbourhoods until the solver's dual
+proves the tree optimal over all arcs. These tests hold it to the trees of
+the fixed-k and the all-pairs (K = N - 1) graphs.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from vesseltrees import pipeline
+from vesseltrees.geometry import SampleCloud
+from vesseltrees.graphs import build_confluent_graph, knn_neighbors
+from vesseltrees.io import read_neighbor_pairs, read_point_cloud
+from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud, \
+    reconstruct_corpus, synth_corpus
+from vesseltrees.solvers import minimum_arborescence
+from vesseltrees.synth import SamplerConfig, generate_tree, sample_centerline
+
+
+def fixed_tree(cloud, k, cfg, root):
+    graph = build_confluent_graph(cloud, knn_neighbors(cloud, k),
+                                  epsilon=cfg.epsilon,
+                                  elastic_lambda=cfg.elastic_lambda)
+    return minimum_arborescence(graph, root)
+
+
+def vessel_cloud(seed, n_max=60, position_noise=0.3, flip=0.0):
+    """A small sampled tree, its spacing chosen to give at most n_max."""
+    rng = np.random.default_rng(seed)
+    gt = generate_tree(n_leaves=int(rng.integers(2, 5)), domain_size=30.0,
+                       seed=seed)
+    spacing = gt.total_length() / (n_max - 2 * gt.n_nodes)
+    cloud = sample_centerline(gt, SamplerConfig(
+        spacing=max(spacing, 0.5), position_noise_std=position_noise,
+        tangent_noise_std_rad=0.1, orientation_flip_prob=flip, seed=seed))
+    root = int(np.argmin(np.linalg.norm(
+        cloud.positions - gt.positions[gt.root], axis=1)))
+    return cloud, root
+
+
+def random_cloud(seed, n):
+    rng = np.random.default_rng(seed)
+    tan = rng.normal(size=(n, 3)) + [2.0, 0.0, 0.0]
+    tan /= np.linalg.norm(tan, axis=1, keepdims=True)
+    return SampleCloud(rng.uniform(0.0, 10.0, (n, 3)), tan), 0
+
+
+def small_clouds():
+    for seed in range(6):
+        yield vessel_cloud(seed)
+    for seed in range(6):
+        yield random_cloud(100 + seed, 20 + 6 * seed)
+
+
+# random clouds may leave a root with nothing reachable, which both the
+# certified and the reference solves warn about
+@pytest.mark.filterwarnings("ignore:no nodes reachable")
+@pytest.mark.parametrize("k0", [2, pipeline.CERTIFY_K0])
+def test_certified_tree_is_the_all_pairs_and_the_fixed_k_tree(monkeypatch,
+                                                              k0):
+    # Random real-valued clouds: no two weights tie, so optimal weight
+    # means the same parents.
+    monkeypatch.setattr(pipeline, "CERTIFY_K0", k0)
+    counts = {"certified": 0, "multi_round": 0, "fallback": 0}
+    for cloud, root in small_clouds():
+        n = len(cloud)
+        for epsilon in (math.pi / 4, math.pi / 2, math.pi):
+            for lam in (0.0, 0.3):
+                for cap in (6, 30):
+                    cfg = PipelineConfig(k=cap, epsilon=epsilon,
+                                         elastic_lambda=lam)
+                    tree, stats, neighbors = reconstruct_cloud(cloud, cfg,
+                                                               root)
+                    k = min(cap, n - 1)
+                    fixed = fixed_tree(cloud, k, cfg, root)
+                    assert tree.parent.tolist() == fixed.parent.tolist()
+                    assert tree.total_weight == fixed.total_weight
+                    assert neighbors.k == k
+                    if not stats["certified"]:
+                        counts["fallback"] += 1
+                        assert stats["k_max"] == k
+                        continue
+                    counts["certified"] += 1
+                    counts["multi_round"] += stats["k_rounds"] > 1
+                    full = fixed_tree(cloud, n - 1, cfg, root)
+                    assert tree.total_weight == pytest.approx(
+                        full.total_weight, rel=1e-12)
+                    assert tree.parent.tolist() == full.parent.tolist()
+    assert counts["certified"] >= 30
+    assert counts["multi_round"] >= 5
+    assert counts["fallback"] >= 30
+
+
+def test_flipped_tangent_fallback_is_the_fixed_k_tree():
+    # A flipped sample's cheapest admissible entering arc is longer than
+    # its 6-NN radius, so the loop falls back to one fixed-k solve.
+    cloud, root = vessel_cloud(3, n_max=120, position_noise=0.3, flip=0.1)
+    cfg = PipelineConfig(k=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    assert stats["certified"] is False
+    assert stats["uncertified_nodes"] > 0
+    fixed = fixed_tree(cloud, 6, cfg, root)
+    for name in ("parent", "edge_weight", "edge_alpha", "edge_length"):
+        assert getattr(tree, name).tobytes() == getattr(fixed, name).tobytes()
+    assert np.array_equal(neighbors.pairs, knn_neighbors(cloud, 6).pairs)
+    assert stats["n_neighbor_pairs"] == neighbors.n_pairs
+    assert stats["k_max"] == 6
+
+
+def chain_beyond_cluster():
+    """Root at the origin flowing +x. Its 8 nearest samples sit just behind
+    it and flow -x, so no arc from it reaches them. A chain flowing +x
+    runs ahead of it, farther than the chain's own 8-NN radius."""
+    behind = [[-0.5 - 0.05 * i, 0.3 * math.cos(i), 0.3 * math.sin(i)]
+              for i in range(10)]
+    ahead = [[6.0 + 0.5 * i, 0.0, 0.0] for i in range(12)]
+    pos = np.array([[0.0, 0.0, 0.0], *behind, *ahead])
+    tan = np.tile([1.0, 0.0, 0.0], (len(pos), 1))
+    tan[1:11] *= -1.0
+    return SampleCloud(pos, tan)
+
+
+def test_rounds_emit_no_warnings_and_the_kept_round_its_own():
+    cloud = chain_beyond_cluster()
+    n = len(cloud)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree, stats, _ = reconstruct_cloud(cloud, PipelineConfig(), 0)
+    # round 1 reached nothing, which the solver warns about; round 2 reaches
+    # the chain, and the cluster stays unreachable with every pair present
+    assert stats["k_rounds"] == 2 and stats["certified"] is True
+    assert stats["k_clamped"] is True
+    assert sorted(tree.excluded.tolist()) == list(range(1, 11))
+    assert tree.parent.tolist() == fixed_tree(
+        cloud, n - 1, PipelineConfig(), 0).parent.tolist()
+
+    # a kept round's warning is issued once: nothing flows out of a root
+    # whose samples all flow back at it
+    tan = np.tile([-1.0, 0.0, 0.0], (10, 1))
+    tan[0] *= -1.0
+    line = SampleCloud(np.outer(np.arange(10.0), [1.0, 0.0, 0.0]), tan)
+    with pytest.warns(UserWarning, match="no nodes reachable") as caught:
+        tree, stats, _ = reconstruct_cloud(line, PipelineConfig(), 0)
+    assert len(caught) == 1
+    assert stats["k_rounds"] == 2 and stats["certified"] is True
+    assert tree.n_nodes == 1
+
+
+def test_stats_describe_the_loop():
+    cloud, root = vessel_cloud(5)
+    n = len(cloud)
+    _, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(k=40),
+                                            root)
+    assert stats["certified"] is True and stats["uncertified_nodes"] == 0
+    assert stats["k_rounds"] >= 1 and stats["k_clamped"] is (40 > n - 1)
+    assert stats["k_max"] == int(neighbors.node_k.max()) <= 40
+    assert stats["n_neighbor_pairs"] == neighbors.n_pairs
+    assert stats["n_arcs"] == build_confluent_graph(
+        cloud, neighbors, math.pi / 2).n_arcs
+    for mode, anisotropic in (("geodesic", False), ("confluent", True)):
+        cfg = PipelineConfig(mode=mode, anisotropic=anisotropic, k=20)
+        _, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+        assert stats["certified"] is None
+        assert stats["uncertified_nodes"] is None
+        assert stats["k_rounds"] == 1 and stats["k_max"] == neighbors.k
+
+
+def test_dumped_neighbors_are_the_fixed_k_system(tmp_path):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    manifest = synth_corpus(corpus, n_trees=1, n_leaves=4, domain_size=50.0,
+                            seed=3)
+    results = reconstruct_corpus(corpus, run, PipelineConfig(k=30),
+                                 dump_neighbors=True)
+    assert results[0][2]["certified"] is True
+    item = manifest["items"][0]
+    cloud = read_point_cloud(corpus / item["clouds"][0]["path"])
+    dumped = read_neighbor_pairs(run / "neighbors" / "recon_000_l00.csv")
+    assert np.array_equal(dumped.pairs, knn_neighbors(cloud, 30).pairs)

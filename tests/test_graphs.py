@@ -23,6 +23,7 @@ from vesseltrees.graphs import (
     build_confluent_graph,
     build_geodesic_graph,
     knn_neighbors,
+    widen_neighbors,
 )
 from vesseltrees.solvers import minimum_spanning_tree
 
@@ -169,6 +170,78 @@ def test_knn_matches_brute_force():
     cloud = random_cloud(rng, 1000, box=50.0)
     system = knn_neighbors(cloud, k=10)
     assert pairs_set(system) == brute_force_knn_pairs(cloud.positions, 10)
+
+
+def nearest_by_size(positions, sizes):
+    """Per node i its sizes[i] nearest others by distance, symmetrized, and
+    the distance to the farthest of them."""
+    d = np.linalg.norm(positions[:, None] - positions[None], axis=2)
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1)
+    pairs = {(min(i, j), max(i, j)) for i, size in enumerate(sizes)
+             for j in order[i, :size].tolist()}
+    kth = np.take_along_axis(d, order, axis=1)[np.arange(len(sizes)),
+                                                np.asarray(sizes) - 1]
+    return pairs, kth
+
+
+def test_knn_keeps_each_nodes_kth_distance():
+    rng = np.random.default_rng(4)
+    cloud = random_cloud(rng, 300)
+    system = knn_neighbors(cloud, k=7)
+    pairs, kth = nearest_by_size(cloud.positions, [7] * 300)
+    assert pairs_set(system) == pairs
+    np.testing.assert_allclose(system.kth_distance, kth, rtol=1e-14)
+    assert system.node_k.tolist() == [7] * 300
+
+
+def test_widen_neighbors_matches_per_node_queries():
+    rng = np.random.default_rng(5)
+    cloud = random_cloud(rng, 200)
+    sizes = rng.choice([3, 6, 12, 40], size=200)
+    base = knn_neighbors(cloud, k=3)
+    grown = np.flatnonzero(sizes > 3)
+    system = widen_neighbors(cloud, base, grown, sizes[grown])
+    pairs, kth = nearest_by_size(cloud.positions, sizes)
+    assert pairs_set(system) == pairs
+    np.testing.assert_allclose(system.kth_distance, kth, rtol=1e-14)
+    assert system.node_k.tolist() == sizes.tolist() and system.k == 40
+    assert np.all(np.diff(system.pairs[:, 0] * 200 + system.pairs[:, 1]) > 0)
+    # one size for every listed node, and nothing listed
+    twice = widen_neighbors(cloud, base, [0, 5], 9)
+    assert twice.node_k[[0, 5]].tolist() == [9, 9]
+    assert pairs_set(twice) == pairs_set(base) | {
+        (min(i, j), max(i, j)) for i in (0, 5) for j in np.argsort(
+            np.linalg.norm(cloud.positions - cloud.positions[i], axis=1)
+        )[1:10].tolist()}
+    assert pairs_set(widen_neighbors(cloud, base, [], 9)) == pairs_set(base)
+    with pytest.raises(ValueError):
+        widen_neighbors(cloud, system, [int(np.argmax(sizes))], 4)
+    with pytest.raises(ValueError):
+        widen_neighbors(cloud, base, [0], 200)
+
+
+def test_anisotropic_tie_at_the_k_final_boundary(monkeypatch):
+    # Node 0 flows along x. Samples 1 to 4 lie at unit distance across
+    # the flow, all tied at rescored distance 1, behind the on-axis sample
+    # 5 at 1/sqrt(10). With k_final = 3 two of the four tied make the cut:
+    # the lowest indices, whatever order the k-d tree lists them in.
+    # Samples 3 and 4 flow along y, with three samples each close by on
+    # their own axis, so they do not pick node 0 themselves.
+    monkeypatch.setattr(graphs, "cKDTree", _TieScramblingTree)
+    pos = [[0, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+           [1, 0, 0]]
+    pos += [[0, dy, z] for z in (1, -1) for dy in (0.2, -0.2, 0.4)]
+    pos = np.array(pos, dtype=float)
+    tan = np.tile([1.0, 0, 0], (len(pos), 1))
+    tan[[3, 4, *range(6, 12)]] = [0.0, 1.0, 0.0]
+    cloud = SampleCloud(pos, tan)
+    system = anisotropic_knn(cloud, k_final=3, k_candidate=5,
+                             aspect_ratio_sq=10.0)
+    assert {tuple(p) for p in system.pairs.tolist() if p[0] == 0} == \
+        {(0, 1), (0, 2), (0, 5)}
+    assert pairs_set(system) == brute_force_anisotropic_pairs(
+        pos, tan, 3, 5, 10.0)
 
 
 def test_anisotropic_prefers_on_axis_neighbors():

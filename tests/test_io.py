@@ -12,6 +12,7 @@ from vesseltrees.io import (
     read_point_cloud,
     read_tree,
     write_csv,
+    write_csv_columns,
     write_neighbor_pairs,
     write_point_cloud,
     write_tree,
@@ -173,3 +174,71 @@ def test_malformed_tree_files_fail_loudly(tmp_path, body, message):
     with pytest.raises(ValueError, match=message) as info:
         read_tree(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_text_read_errors_name_the_line(tmp_path):
+    # One loadtxt reads a well-formed file; a malformed one is re-read line
+    # by line for a message that names the offending line.
+    path = tmp_path / "cloud.txt"
+    path.write_text("# x y z tx ty tz\n0 0 0 1 0 0\n1 0 0 1 0\n")
+    with pytest.raises(ValueError, match=r"cloud\.txt:3: expected 6 or 7"):
+        read_point_cloud(path)
+    path.write_text("0 0 0 1 0 0\n1 0 0 1 0 0 2.0\n")
+    with pytest.raises(ValueError, match="inconsistent column counts"):
+        read_point_cloud(path)
+    path = tmp_path / "tree.txt"
+    path.write_text("root 0\n# node parent x y z radius\n0 -1 0 0 0 1\n"
+                    "1 0 1 0 0\n")
+    with pytest.raises(ValueError, match=r"tree\.txt:4: expected 6 or 8"):
+        read_tree(path)
+    for ids in ("1.0 0", "1 0x1"):   # ids must be integers
+        path.write_text(f"root 0\n0 -1 0 0 0 1\n{ids} 1 0 0 1\n")
+        with pytest.raises(ValueError):
+            read_tree(path)
+    path.write_text("root 0\n0 -1 0 0 0 nan nan nan\n"
+                    "1 0 1 0 0 0 1 1\n1 0 2 0 0 0 2 2\n")
+    with pytest.raises(ValueError, match="node ids must be distinct"):
+        read_tree(path)
+
+
+def test_tree_read_in_any_line_layout(tmp_path):
+    # write_tree's layout takes the one-loadtxt path; headers among or
+    # after the rows, inline comments and a blank line take the
+    # line-by-line path, with the same result.
+    gt = generate_tree(n_leaves=4, domain_size=50.0, seed=4)
+    cloud = sample_centerline(gt, SamplerConfig(seed=1))
+    graph = build_confluent_graph(cloud, knn_neighbors(cloud, 20),
+                                  epsilon=math.pi / 2)
+    for tree in (gt, minimum_arborescence(graph, 0)):
+        path = tmp_path / "tree.txt"
+        write_tree(path, tree)
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if not line[0].isdigit()
+                  and not line.startswith("-")]
+        rows = [line for line in lines if line not in header]
+        shuffled = tmp_path / "shuffled.txt"
+        shuffled.write_text("\n".join(
+            rows[:3] + [header[-1]] + [rows[3] + "  # note", ""]
+            + rows[4:] + header[:-1]) + "\n")
+        kept, moved = read_tree(path), read_tree(shuffled)
+        assert type(kept) is type(moved) and kept.root == moved.root
+        for name in ("parent", "positions", "radii", "edge_weight",
+                     "edge_alpha", "edge_length"):
+            a, b = getattr(kept, name, None), getattr(moved, name, None)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert getattr(kept, "domain_size", 0) == \
+            getattr(moved, "domain_size", 0)
+
+
+def test_csv_columns_give_the_bytes_of_rows(tmp_path):
+    ints = np.array([3, 0, 12], dtype=np.int32)
+    floats = np.array([0.1, np.nan, -np.inf])
+    write_csv(tmp_path / "rows.csv", ["i", "x", "y"],
+              [(int(i), float(x), float(y))
+               for i, x, y in zip(ints, floats, floats * 3.0)])
+    write_csv_columns(tmp_path / "cols.csv", ["i", "x", "y"],
+                      [ints, floats, floats * 3.0])
+    assert (tmp_path / "rows.csv").read_bytes() == \
+        (tmp_path / "cols.csv").read_bytes()
+    write_csv_columns(tmp_path / "empty.csv", ["u"], [np.empty(0, int)])
+    assert (tmp_path / "empty.csv").read_text() == "u\n"

@@ -115,7 +115,7 @@ def test_star_graph():
     tails = np.zeros(n - 1, dtype=int)
     heads = np.arange(1, n)
     weights = np.ones(n - 1)
-    parent, arc_index = chu_liu_edmonds(n, tails, heads, weights, 0)
+    parent, arc_index, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
     assert np.all(parent[1:] == 0)
     assert parent[0] == NO_PARENT
     assert arrays_to_tree_weight(parent, arc_index, weights) == 4.0
@@ -126,7 +126,7 @@ def test_three_node_example():
     tails = [0, 0, 1, 2]
     heads = [1, 2, 2, 1]
     weights = [1.0, 5.0, 1.0, 3.0]
-    parent, arc_index = chu_liu_edmonds(3, tails, heads, weights, 0)
+    parent, arc_index, _ = chu_liu_edmonds(3, tails, heads, weights, 0)
     assert parent[1] == 0 and parent[2] == 1
     assert arrays_to_tree_weight(parent, arc_index, weights) == 2.0
 
@@ -136,7 +136,7 @@ def test_cycle_contraction_instance():
     tails = [0, 1, 2, 0]
     heads = [1, 2, 1, 2]
     weights = [10.0, 1.0, 1.0, 10.0]
-    parent, arc_index = chu_liu_edmonds(3, tails, heads, weights, 0)
+    parent, arc_index, _ = chu_liu_edmonds(3, tails, heads, weights, 0)
     (best, bf_parent), _ = brute_force_arborescence(
         3, tails, heads, weights, 0)
     assert arrays_to_tree_weight(parent, arc_index, weights) == best
@@ -147,7 +147,7 @@ def test_unreachable_nodes_excluded():
     tails = [0, 3]
     heads = [1, 4]
     weights = [1.0, 1.0]
-    parent, arc_index = chu_liu_edmonds(5, tails, heads, weights, 0)
+    parent, arc_index, _ = chu_liu_edmonds(5, tails, heads, weights, 0)
     assert parent[1] == 0
     assert parent[2] == EXCLUDED and parent[3] == EXCLUDED
     assert parent[4] == EXCLUDED
@@ -169,7 +169,7 @@ def test_random_small_graphs_match_brute_force():
             continue
         weights = rng.integers(1, 20, size=tails.size).astype(float)
         root = int(rng.integers(0, n))
-        parent, arc_index = chu_liu_edmonds(n, tails, heads, weights, root)
+        parent, arc_index, _ = chu_liu_edmonds(n, tails, heads, weights, root)
         (best, _), reach = brute_force_arborescence(
             n, tails, heads, weights, root)
         got = arrays_to_tree_weight(parent, arc_index, weights)
@@ -189,7 +189,7 @@ def test_tied_weights_pick_lowest_arc_index():
     tails = [0, 2, 1, 0, 2, 1, 0, 0, 3, 0, 1]
     heads = [3, 1, 2, 1, 1, 2, 2, 1, 1, 3, 3]
     weights = [2.0, 0.0, 1.0, 3.0, 0.0, 1.0, 4.0, 3.0, 3.0, 2.0, 0.0]
-    parent, arc_index = chu_liu_edmonds(4, tails, heads, weights, 0)
+    parent, arc_index, _ = chu_liu_edmonds(4, tails, heads, weights, 0)
     assert arc_index.tolist() == [-1, 3, 2, 10]
     assert parent.tolist() == [NO_PARENT, 0, 1, 1]
     (best, _), _ = brute_force_arborescence(4, tails, heads, weights, 0)
@@ -210,7 +210,7 @@ def test_parallel_tied_arcs_resolve_to_lowest_index():
         weights = np.concatenate([weights, weights[copies]])
         perm = rng.permutation(tails.size)
         tails, heads, weights = tails[perm], heads[perm], weights[perm]
-        parent, arc_index = chu_liu_edmonds(n, tails, heads, weights, 0)
+        parent, arc_index, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
         (best, _), _ = brute_force_arborescence(n, tails, heads, weights, 0)
         got = arrays_to_tree_weight(parent, arc_index, weights)
         assert got == (0.0 if best is None else best)
@@ -229,9 +229,9 @@ def test_deterministic_under_weight_scaling():
         np.fill_diagonal(mask, False)
         tails, heads = np.nonzero(mask)
         weights = rng.integers(1, 30, size=tails.size).astype(float)
-        base, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
+        base, _, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
         for scale in (2.0, 0.5, 3.0):
-            scaled, _ = chu_liu_edmonds(n, tails, heads, weights * scale, 0)
+            scaled, _, _ = chu_liu_edmonds(n, tails, heads, weights * scale, 0)
             assert np.array_equal(base, scaled)
 
 
@@ -370,9 +370,52 @@ def test_symmetric_digraph_matches_undirected_mst():
         tails = np.array(us + vs)
         heads = np.array(vs + us)
         weights = np.array(ws + ws, dtype=float)
-        parent, arc_index = chu_liu_edmonds(n, tails, heads, weights, 0)
+        parent, arc_index, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
         arb_total = arrays_to_tree_weight(parent, arc_index, weights)
         chosen = kruskal_forest(n, np.array(us), np.array(vs),
                                 np.array(ws, dtype=float))
         mst_total = float(np.sum(np.array(ws)[chosen]))
         assert arb_total == mst_total
+
+
+def test_cycle_contraction_potentials():
+    # Round one contracts the cycle {1, 2} with y_1 = y_2 = 1; both arcs
+    # from the root enter it at adjusted weight 9, so y_C = 9.
+    _, _, potential = chu_liu_edmonds(3, [0, 1, 2, 0], [1, 2, 1, 2],
+                                      [10.0, 1.0, 1.0, 10.0], 0)
+    assert potential.tolist() == [0.0, 10.0, 10.0]
+    _, _, potential = chu_liu_edmonds(4, [0, 3], [1, 2], [1.0, 1.0], 0)
+    assert potential[:2].tolist() == [0.0, 1.0]
+    assert np.isnan(potential[2:]).all()
+
+
+def test_potential_certifies_the_arcs_left_out():
+    # Solve on a random part of a complete digraph. Its potentials bound
+    # every tree arc from above (tightly below the root), and whenever
+    # each arc left out costs at least the potential of its head, the
+    # tree is the complete digraph's. Continuous weights never tie.
+    rng = np.random.default_rng(17)
+    certified = nested = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 9))
+        tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+        weights = rng.random(tails.size) * 10.0
+        full, _, _ = chu_liu_edmonds(n, tails, heads, weights, 0)
+        kept = rng.random(tails.size) < 0.7
+        parent, arc_index, potential = chu_liu_edmonds(
+            n, tails[kept], heads[kept], weights[kept], 0)
+        reached = parent >= 0
+        chosen = weights[kept][arc_index[reached]]
+        assert np.all(chosen <= potential[reached] * (1 + 1e-12))
+        from_root = parent == 0
+        np.testing.assert_allclose(weights[kept][arc_index[from_root]],
+                                   potential[from_root], rtol=1e-12)
+        assert potential[0] == 0.0
+        assert np.isnan(potential[parent == EXCLUDED]).all()
+        left_out = ~kept
+        if reached[1:].all() and np.all(
+                weights[left_out] >= potential[heads[left_out]]):
+            certified += 1
+            nested += bool(np.any(chosen < potential[reached] * (1 - 1e-9)))
+            assert parent.tolist() == full.tolist()
+    assert certified >= 50 and nested >= 15
