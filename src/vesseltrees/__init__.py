@@ -14,7 +14,6 @@ from .geometry import (
     arc_end_tangent,
     arc_points,
     arc_weight,
-    cocircularity_angle,
     confluence_angle,
     fit_arc,
 )
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FlowArc", "OrientedSample", "SampleCloud", "arc_end_tangent",
-    "arc_points", "arc_weight", "cocircularity_angle", "confluence_angle",
-    "fit_arc", "NeighborSystem", "TubularGraph", "anisotropic_knn",
+    "arc_points", "arc_weight", "confluence_angle", "fit_arc",
+    "NeighborSystem", "TubularGraph", "anisotropic_knn",
     "build_confluent_graph", "build_geodesic_graph", "knn_neighbors",
     "MatchTolerance", "RocPoint", "bifurcation_angle", "bifurcation_roc",
     "centerline_roc", "connectivity_roc", "median_angular_error",

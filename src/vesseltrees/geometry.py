@@ -208,24 +208,6 @@ def arc_weight(arc: FlowArc, tangent_at_end, epsilon: float,
     return math.inf
 
 
-def cocircularity_angle(p: OrientedSample, q: OrientedSample) -> float:
-    """Unoriented angle test between two tangent lines and a shared circle.
-
-    Fits the circle through both points tangent to p's line, carries that
-    line to q, and returns the line-angle (in [0, pi/2]) against q's
-    tangent line. Zero iff the two unoriented tangents are co-circular.
-    Unlike the confluence angle this ignores tangent orientation flips.
-    """
-    chord = q.position - p.position
-    d = float(np.linalg.norm(chord))
-    if d <= COINCIDENT_TOL:
-        raise DegenerateInputError("co-circularity of coincident points")
-    e = chord / d
-    end_tan = 2.0 * float(np.dot(p.tangent, e)) * e - p.tangent
-    dot = min(1.0, abs(float(np.dot(end_tan, q.tangent))))
-    return math.acos(dot)
-
-
 def arc_points(p_pos, p_tangent, q_pos, s) -> np.ndarray:
     """Evaluate the arc parameterization c(s), s in [0, 1], vectorized in s.
 

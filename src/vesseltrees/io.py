@@ -46,14 +46,25 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def _write_rows(path, head, columns, sep):
+    """Write the ``head`` lines, then the rows that 1-D arrays hold side by
+    side, their cells joined by ``sep``.
+
+    A cell is the ``str`` of the Python int or float that one ``tolist`` a
+    column gives; for a float that is its ``repr``, the text of ``_fmt``.
+    """
+    cells = [map(str, np.asarray(column).tolist()) for column in columns]
+    atomic_write_text(path, "\n".join([*head, *map(sep.join, zip(*cells))])
+                      + "\n")
+
+
 def write_point_cloud(path, cloud: SampleCloud):
-    lines = ["# x y z tx ty tz" + (" r" if cloud.radii is not None else "")]
-    for i in range(len(cloud)):
-        cols = [*cloud.positions[i], *cloud.tangents[i]]
-        if cloud.radii is not None:
-            cols.append(cloud.radii[i])
-        lines.append(" ".join(_fmt(c) for c in cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [*cloud.positions.T, *cloud.tangents.T]
+    header = "# x y z tx ty tz"
+    if cloud.radii is not None:
+        columns.append(cloud.radii)
+        header += " r"
+    _write_rows(path, [header], columns, " ")
 
 
 def _loadtxt(source, ndmin=2, **kwargs):
@@ -110,13 +121,10 @@ def write_tree(path, tree):
     else:
         names = "alpha length weight"
         data = [tree.edge_alpha, tree.edge_length, tree.edge_weight]
+    ids = tree.node_ids()
     lines += [f"root {tree.root}", f"# node parent x y z {names}"]
-    for i in tree.node_ids():
-        cols = [str(int(i)), str(int(tree.parent[i])),
-                *(_fmt(c) for c in tree.positions[i]),
-                *(_fmt(column[i]) for column in data)]
-        lines.append(" ".join(cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, lines, [ids, tree.parent[ids], *tree.positions[ids].T,
+                              *(column[ids] for column in data)], " ")
 
 
 def _parse_tree_lines(path, text):
@@ -281,10 +289,7 @@ def write_csv_columns(path, header, columns):
     Integer arrays give ``str`` cells and float arrays ``repr`` cells, so
     the bytes equal those of ``write_csv`` on rows of int and float cells.
     """
-    cells = [map(repr if column.dtype.kind == "f" else str, column.tolist())
-             for column in map(np.asarray, columns)]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, [",".join(header)], columns, ",")
 
 
 def read_csv(path):
@@ -297,8 +302,7 @@ def read_csv(path):
 
 def write_neighbor_pairs(path, system):
     """``u,v`` pair CSV, in the layout ``write_csv`` gives integer cells."""
-    atomic_write_text(path, "u,v\n" + "".join(
-        f"{u},{v}\n" for u, v in system.pairs.tolist()))
+    write_csv_columns(path, ["u", "v"], system.pairs.T)
 
 
 def read_neighbor_pairs(path):

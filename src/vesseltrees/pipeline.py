@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 import warnings
 from bisect import bisect_right
@@ -49,7 +50,7 @@ SWEEP_PARAMS = {
 DEFAULT_TOL_SCALES = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 # Neighbourhood size every node starts from in certified confluent mode
-# (see _certified_arborescence).
+# (see reconstruct_cloud).
 CERTIFY_K0 = 8
 # Relative slack of the certificate test P(v) <= d_K(v), far above the
 # rounding error of either side.
@@ -128,109 +129,90 @@ def _uncertified(tree, neighbors) -> np.ndarray:
     return unreached | too_dear
 
 
-def _certified_arborescence(cloud, cfg: PipelineConfig, root: int, cap: int,
-                            times: dict):
-    """The fixed-``cap`` confluent tree, from the smallest certified graph.
-
-    Every node starts at ``CERTIFY_K0`` neighbours. Each round builds and
-    solves the graph and checks every node's certificate. The dual of the
-    solve then holds for every arc left out, so a tree that passes at every
-    node has the least weight over all N(N - 1) arcs, which the fixed-k
-    graph's tree has too. A node that fails grows its neighbourhood, up to
-    ``cap``, to at least twice its size K, and to K P(v) / d_K(v) if that is
-    more: the size at which samples spread along a vessel as densely as
-    around v now would reach out to P(v). An unreached node goes to
-    ``cap`` at once. If a node fails at ``cap``, the tree is that of the
-    fixed-``cap`` graph, solved once more unless every node already is at
-    ``cap``. Warnings of a round are re-issued only if its tree is kept.
-
-    Returns ``(tree, graph, neighbors, loop_stats)``.
-    """
-    def solve(neighbors):
-        t0 = time.perf_counter()
-        graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
-                                      elastic_lambda=cfg.elastic_lambda)
-        t1 = time.perf_counter()
-        tree = minimum_arborescence(graph, root)
-        times["graph_s"] += t1 - t0
-        times["solve_s"] += time.perf_counter() - t1
-        return graph, tree
-
-    t0 = time.perf_counter()
-    neighbors = replace(knn_neighbors(cloud, min(CERTIFY_K0, cap)), k=cap)
-    times["neighbors_s"] += time.perf_counter() - t0
-    rounds = 0
-    while True:
-        rounds += 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            graph, tree = solve(neighbors)
-        t0 = time.perf_counter()
-        failed = np.flatnonzero(_uncertified(tree, neighbors))
-        if failed.size == 0 or np.any(neighbors.node_k[failed] >= cap):
-            times["solve_s"] += time.perf_counter() - t0
-            break
-        k_now = neighbors.node_k[failed]
-        with np.errstate(divide="ignore"):   # d_K is 0 among coincident
-            spread = np.ceil(k_now * tree.potential[failed]
-                             / neighbors.kth_distance[failed])
-        grown = np.minimum(np.fmax(2 * k_now, spread), cap).astype(np.int64)
-        grown[tree.parent[failed] == EXCLUDED] = cap
-        neighbors = widen_neighbors(cloud, neighbors, failed, grown)
-        times["neighbors_s"] += time.perf_counter() - t0
-
-    loop = {"k_rounds": rounds, "certified": failed.size == 0,
-            "uncertified_nodes": int(failed.size)}
-    # a round with every node at the cap solved the fixed-cap graph
-    if failed.size == 0 or np.all(neighbors.node_k == cap):
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno)
-    else:
-        t0 = time.perf_counter()
-        neighbors = knn_neighbors(cloud, cap)
-        times["neighbors_s"] += time.perf_counter() - t0
-        graph, tree = solve(neighbors)
-        loop["k_rounds"] += 1
-    loop["k_max"] = int(neighbors.node_k.max())
-    return tree, graph, neighbors, loop
+def _reissue(caught):
+    """Issue recorded warnings again as the modules that raised them would:
+    under the filters that name the module, once a location where the
+    filters say so."""
+    modules = {getattr(m, "__file__", None): m
+               for m in list(sys.modules.values())}
+    for w in caught:
+        source = modules.get(w.filename)
+        warnings.warn_explicit(
+            w.message, w.category, w.filename, w.lineno,
+            module=source and source.__name__,
+            registry=source and vars(source).setdefault(
+                "__warningregistry__", {}))
 
 
 def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     """Neighbors -> graph -> tree for one cloud; returns the run record.
 
-    Isotropic confluent mode certifies its tree from per-node neighbourhoods
-    (see ``_certified_arborescence``); the record's neighbor system is then
-    the one the last solve used, with ``k`` the cap. Other modes build one
-    system of fixed size.
+    One loop builds the mode's graph and solves it, round after round. The
+    certificate covers isotropic confluent mode only: there every node
+    starts at ``CERTIFY_K0`` neighbours, up to the cap ``k``, and each round
+    checks every node's certificate. The dual of the solve then holds for
+    every arc left out, so a tree that passes at every node has the least
+    weight over all N(N - 1) arcs, which the fixed-k graph's tree has too.
+    A node that fails grows its neighbourhood, up to the cap, to at least
+    twice its size K, and to K P(v) / d_K(v) if that is more: the size at
+    which samples spread along a vessel as densely as around v now would
+    reach out to P(v). An unreached node goes to the cap at once. If a node
+    fails at the cap, the next round solves the fixed-cap graph. Every
+    other mode solves the graph of ``build_neighbors`` once. The loop stops
+    after a round whose tree is certified or whose nodes are all at the
+    cap, and keeps that round's tree, graph and neighbor system (``k`` is
+    the cap); only the warnings of that round are issued.
     """
-    started = time.perf_counter()
-    times = dict.fromkeys(("neighbors_s", "graph_s", "solve_s"), 0.0)
     n = len(cloud)
-    if cfg.mode == "confluent" and not cfg.anisotropic:
-        tree, graph, neighbors, loop = _certified_arborescence(
-            cloud, cfg, root, min(cfg.k, n - 1), times)
-        solved = time.perf_counter()
+    cap = min(cfg.k, n - 1)
+    certify = cfg.mode == "confluent" and not cfg.anisotropic
+    times = dict.fromkeys(("neighbors_s", "graph_s", "solve_s"), 0.0)
+    started = clock = time.perf_counter()
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        times[stage] += now - clock
+        clock = now
+
+    if certify:
+        neighbors = replace(knn_neighbors(cloud, min(CERTIFY_K0, cap)), k=cap)
     else:
         neighbors = build_neighbors(cloud, cfg)
-        built_neighbors = time.perf_counter()
-        if cfg.mode == "confluent":
-            graph = build_confluent_graph(
-                cloud, neighbors, epsilon=cfg.epsilon,
-                elastic_lambda=cfg.elastic_lambda)
-            built_graph = time.perf_counter()
-            tree = minimum_arborescence(graph, root)
+    lap("neighbors_s")
+    rounds, failed = 0, None
+    while True:
+        rounds += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if cfg.mode == "confluent":
+                graph = build_confluent_graph(
+                    cloud, neighbors, epsilon=cfg.epsilon,
+                    elastic_lambda=cfg.elastic_lambda)
+                lap("graph_s")
+                tree = minimum_arborescence(graph, root)
+            else:
+                graph = build_geodesic_graph(cloud, neighbors)
+                lap("graph_s")
+                tree = minimum_spanning_tree(graph, root)
+        if certify:
+            failed = np.flatnonzero(_uncertified(tree, neighbors))
+        lap("solve_s")
+        if not certify or failed.size == 0 or np.all(neighbors.node_k == cap):
+            break
+        k_now = neighbors.node_k[failed]
+        if np.any(k_now >= cap):
+            neighbors = knn_neighbors(cloud, cap)
         else:
-            graph = build_geodesic_graph(cloud, neighbors)
-            built_graph = time.perf_counter()
-            tree = minimum_spanning_tree(graph, root)
-        solved = time.perf_counter()
-        times["neighbors_s"] = built_neighbors - started
-        times["graph_s"] = built_graph - built_neighbors
-        times["solve_s"] = solved - built_graph
-        # the certificate covers isotropic confluent graphs only
-        loop = {"k_rounds": 1, "k_max": int(neighbors.k),
-                "certified": None, "uncertified_nodes": None}
+            with np.errstate(divide="ignore"):   # d_K is 0 among coincident
+                spread = np.ceil(k_now * tree.potential[failed]
+                                 / neighbors.kth_distance[failed])
+            grown = np.minimum(np.fmax(2 * k_now, spread), cap).astype(
+                np.int64)
+            grown[tree.parent[failed] == EXCLUDED] = cap
+            neighbors = widen_neighbors(cloud, neighbors, failed, grown)
+        lap("neighbors_s")
+    _reissue(caught)
     stats = {
         "mode": cfg.mode,
         "root": int(root),
@@ -241,11 +223,24 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         "n_excluded": int(tree.excluded.size),
         "total_weight": float(tree.total_weight),
         "k_clamped": cfg.k > n - 1,
-        **loop,
+        "k_rounds": rounds,
+        "k_max": int(neighbors.k if neighbors.node_k is None
+                     else neighbors.node_k.max()),
+        "certified": None if failed is None else failed.size == 0,
+        "uncertified_nodes": None if failed is None else int(failed.size),
         **times,
-        "wall_time_s": solved - started,
+        "wall_time_s": clock - started,
     }
     return tree, stats, neighbors
+
+
+def _map_items(fn, tasks, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, on a pool of ``jobs`` processes if more
+    than one; the results come back in task order either way."""
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            return pool.map(fn, tasks)
+    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +305,7 @@ def synth_corpus(out_dir, *, n_trees: int = 15, n_leaves: int = 8,
         tasks.append((out_dir, item_id, n_leaves, domain_size, relocate,
                       tree_seed, levels))
 
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            items = pool.map(_synth_item, tasks)
-    else:
-        items = [_synth_item(t) for t in tasks]
+    items = _map_items(_synth_item, tasks, jobs)
 
     manifest = {
         "kind": "vesseltrees-corpus",
@@ -369,11 +360,7 @@ def reconstruct_corpus(corpus_dir, out_dir, cfg: PipelineConfig,
     manifest = vio.read_json(os.path.join(corpus_dir, "manifest.json"))
     tasks = [(corpus_dir, out_dir, asdict(cfg), item, dump_neighbors)
              for item in manifest["items"]]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            nested = pool.map(_reconstruct_item, tasks)
-    else:
-        nested = [_reconstruct_item(t) for t in tasks]
+    nested = _map_items(_reconstruct_item, tasks, jobs)
     try:
         corpus_ref = os.path.relpath(corpus_dir, out_dir)
     except ValueError:
@@ -483,11 +470,7 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
     tasks = [(corpus_dir, recon_dir, item, levels,
               {"zeta": tol.zeta, "uses_radius": tol.uses_radius}, step,
               tuple(tol_scales)) for item in manifest["items"]]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            nested = pool.map(_evaluate_item, tasks)
-    else:
-        nested = [_evaluate_item(t) for t in tasks]
+    nested = _map_items(_evaluate_item, tasks, jobs)
     rows = sorted((r for group in nested for r in group),
                   key=lambda r: (r["level"], r["id"]))
 

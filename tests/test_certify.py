@@ -152,6 +152,34 @@ def test_rounds_emit_no_warnings_and_the_kept_round_its_own():
     assert tree.n_nodes == 1
 
 
+@pytest.mark.parametrize("mode, anisotropic, message", [
+    ("confluent", False, "no nodes reachable"),
+    ("confluent", True, "no nodes reachable"),
+    ("geodesic", False, "root is isolated"),
+])
+def test_kept_round_warnings_keep_their_module(mode, anisotropic, message):
+    # Every mode records the warnings of its rounds and issues the kept
+    # round's: once, and under the filters that name the solver module.
+    if mode == "geodesic":   # the root's only neighbour coincides with it
+        pos = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0],
+               [6.0, 0.0, 0.0]]
+        cloud = SampleCloud(pos, np.tile([1.0, 0.0, 0.0], (4, 1)))
+    else:                    # every sample flows back at the root
+        tan = np.tile([-1.0, 0.0, 0.0], (10, 1))
+        tan[0] *= -1.0
+        cloud = SampleCloud(np.outer(np.arange(10.0), [1.0, 0.0, 0.0]), tan)
+    cfg = PipelineConfig(mode=mode, anisotropic=anisotropic,
+                         k=1 if mode == "geodesic" else len(cloud) - 1)
+    with pytest.warns(UserWarning, match=message) as caught:
+        tree, stats, _ = reconstruct_cloud(cloud, cfg, 0)
+    assert len(caught) == 1 and tree.n_nodes == 1
+    assert stats["k_rounds"] == (2 if stats["certified"] else 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", module=r"vesseltrees\.solvers")
+        reconstruct_cloud(cloud, cfg, 0)
+
+
 def test_stats_describe_the_loop():
     cloud, root = vessel_cloud(5)
     n = len(cloud)
@@ -163,12 +191,35 @@ def test_stats_describe_the_loop():
     assert stats["n_neighbor_pairs"] == neighbors.n_pairs
     assert stats["n_arcs"] == build_confluent_graph(
         cloud, neighbors, math.pi / 2).n_arcs
+    all_stats = [stats]
     for mode, anisotropic in (("geodesic", False), ("confluent", True)):
         cfg = PipelineConfig(mode=mode, anisotropic=anisotropic, k=20)
         _, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
         assert stats["certified"] is None
         assert stats["uncertified_nodes"] is None
         assert stats["k_rounds"] == 1 and stats["k_max"] == neighbors.k
+        all_stats.append(stats)
+    # one lap clock: the stage times add up to the wall time in every mode
+    for stats in all_stats:
+        stages = stats["neighbors_s"] + stats["graph_s"] + stats["solve_s"]
+        assert stages == pytest.approx(stats["wall_time_s"], rel=1e-12)
+
+
+def test_fallback_counts_the_failing_nodes_of_the_kept_tree():
+    # A flipped sample fails at the cap of 100, so the last round solves
+    # the fixed-k graph; the count describes that round's tree, not the
+    # round that was thrown away.
+    gt = generate_tree(n_leaves=8, domain_size=60.0, seed=0)
+    cloud = sample_centerline(gt, SamplerConfig(
+        tangent_noise_std_rad=0.1, orientation_flip_prob=0.05, seed=0))
+    root = int(np.argmin(np.linalg.norm(
+        cloud.positions - gt.positions[gt.root], axis=1)))
+    tree, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(k=100),
+                                               root)
+    assert stats["certified"] is False and stats["k_max"] == 100
+    assert np.all(neighbors.node_k == 100)
+    assert stats["uncertified_nodes"] == \
+        pipeline._uncertified(tree, neighbors).sum() > 0
 
 
 def test_dumped_neighbors_are_the_fixed_k_system(tmp_path):

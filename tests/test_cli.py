@@ -104,6 +104,32 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert a == b
 
 
+def test_jobs_give_the_outputs_of_one_process(tmp_path):
+    for jobs in ("1", "2"):
+        root = tmp_path / f"jobs{jobs}"
+        small_synth(root / "corpus", seed=5,
+                    extra=["--tangent-noise", "0.1", "--jobs", jobs])
+        assert run(["reconstruct", "--corpus", str(root / "corpus"),
+                    "--out", str(root / "run"), "--k", "60",
+                    "--dump-neighbors", "--jobs", jobs]) == 0
+        assert run(["evaluate", "--corpus", str(root / "corpus"), "--recon",
+                    str(root / "run"), "--out", str(root / "eval"),
+                    "--jobs", jobs]) == 0
+    # corpora, trees, neighbour dumps, CSVs and run.json are byte-identical
+    one = file_hashes(tmp_path / "jobs1", skip_dirs=("stats",))
+    two = file_hashes(tmp_path / "jobs2", skip_dirs=("stats",))
+    assert one == two and len(one) == 15
+    # the stats differ only in their timings
+    def untimed(jobs, name):
+        stats = read_json(tmp_path / f"jobs{jobs}" / "run" / "stats" / name)
+        return {k: v for k, v in stats.items() if not k.endswith("_s")}
+
+    names = sorted(os.listdir(tmp_path / "jobs1" / "run" / "stats"))
+    assert names == sorted(os.listdir(tmp_path / "jobs2" / "run" / "stats"))
+    for name in names:
+        assert untimed(1, name) == untimed(2, name)
+
+
 def test_single_cloud_reconstruct_and_graph_dump(tmp_path):
     corpus = tmp_path / "corpus"
     small_synth(corpus)

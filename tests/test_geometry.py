@@ -17,7 +17,6 @@ from vesseltrees.geometry import (
     batch_arc_points,
     batch_confluence_angles,
     batch_shorter_arc_lengths,
-    cocircularity_angle,
     confluence_angle,
     fit_arc,
 )
@@ -209,54 +208,9 @@ def test_asymmetric_lengths_both_confluent():
     assert w_fwd != pytest.approx(w_rev)
 
 
-def test_cocircular_configuration_gives_zero():
-    # Both tangents tangent to the unit circle centered at the origin.
-    # arccos near a dot product of 1 amplifies rounding to ~sqrt(eps)
-    p = OrientedSample([1, 0, 0], [0, 1, 0])
-    q = OrientedSample([0, 1, 0], [-1, 0, 0])
-    assert cocircularity_angle(p, q) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_cocircularity_ignores_orientation_flips():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        p_pos = rng.uniform(-4, 4, 3)
-        q_pos = rng.uniform(-4, 4, 3)
-        if np.linalg.norm(q_pos - p_pos) < 1e-6:
-            continue
-        t_p, t_q = random_units(rng, 2)
-        base = cocircularity_angle(OrientedSample(p_pos, t_p),
-                                   OrientedSample(q_pos, t_q))
-        for sp, sq in [(-1, 1), (1, -1), (-1, -1)]:
-            flipped = cocircularity_angle(OrientedSample(p_pos, sp * t_p),
-                                          OrientedSample(q_pos, sq * t_q))
-            assert flipped == pytest.approx(base, abs=1e-9)
-
-
-def test_confluence_implies_cocircularity():
-    rng = np.random.default_rng(17)
-    eps = math.pi / 2
-    checked = 0
-    for _ in range(2000):
-        p_pos = rng.uniform(-4, 4, 3)
-        q_pos = rng.uniform(-4, 4, 3)
-        if np.linalg.norm(q_pos - p_pos) < 1e-6:
-            continue
-        t_p, t_q = random_units(rng, 2)
-        p = OrientedSample(p_pos, t_p)
-        q = OrientedSample(q_pos, t_q)
-        arc = fit_arc(p, q_pos)
-        if arc.degenerate:
-            continue
-        if confluence_angle(arc, t_q) <= eps:
-            assert cocircularity_angle(p, q) <= eps + 1e-12
-            checked += 1
-    assert checked > 100
-
-
 def test_flipped_witness_breaks_converse():
-    # Semicircle pair that is confluent, then a tangent flip at p: still
-    # co-circular (lines unchanged) but no longer confluent either way.
+    # Semicircle pair that is confluent, then a tangent flip at p: the
+    # tangent lines are unchanged, but no direction is confluent any more.
     eps = math.pi / 2
     p_pos, q_pos = np.zeros(3), np.array([2.0, 0.0, 0.0])
     t_q = np.array([0.0, -1.0, 0.0])
@@ -270,7 +224,6 @@ def test_flipped_witness_breaks_converse():
     fwd = confluence_angle(fit_arc(p, q_pos), t_q)
     rev = confluence_angle(fit_arc(q, p_pos), flipped_t_p)
     assert fwd > eps and rev > eps
-    assert cocircularity_angle(p, q) <= eps
 
 
 def test_arc_points_endpoints_and_planarity():

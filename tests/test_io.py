@@ -22,6 +22,40 @@ from vesseltrees.graphs import NeighborSystem, knn_neighbors, \
 from vesseltrees.solvers import minimum_arborescence
 from vesseltrees.synth import GroundTruthTree, SamplerConfig, generate_tree, \
     sample_centerline
+from vesseltrees.trees import EXCLUDED
+
+
+def per_cell_text(header, ints, floats):
+    """File text with every cell formatted on its own, ``str(int(x))`` or
+    ``repr(float(x))``: the reference for the column-wise writers."""
+    rows = [" ".join([*(str(int(column[i])) for column in ints),
+                      *(repr(float(column[i])) for column in floats)])
+            for i in range(len(floats[0]))]
+    return "\n".join([*header, *rows]) + "\n"
+
+
+def cloud_text(cloud):
+    columns = [*cloud.positions.T, *cloud.tangents.T]
+    header = "# x y z tx ty tz"
+    if cloud.radii is not None:
+        columns.append(cloud.radii)
+        header += " r"
+    return per_cell_text([header], [], columns)
+
+
+def tree_text(tree):
+    ids = tree.node_ids()
+    if isinstance(tree, GroundTruthTree):
+        header = [f"# domain_size {float(tree.domain_size)!r}",
+                  f"root {tree.root}", "# node parent x y z radius"]
+        data = [tree.radii]
+    else:
+        header = [f"root {tree.root}",
+                  "# node parent x y z alpha length weight"]
+        data = [tree.edge_alpha, tree.edge_length, tree.edge_weight]
+    return per_cell_text(header, [ids, tree.parent[ids]],
+                         [*tree.positions[ids].T,
+                          *(column[ids] for column in data)])
 
 
 def test_point_cloud_round_trip(tmp_path):
@@ -30,6 +64,7 @@ def test_point_cloud_round_trip(tmp_path):
         position_noise_std=0.37, tangent_noise_std_rad=0.21, seed=5))
     path = tmp_path / "cloud.txt"
     write_point_cloud(path, cloud)
+    assert path.read_text() == cloud_text(cloud)
     back = read_point_cloud(path)
     np.testing.assert_array_equal(back.positions, cloud.positions)
     np.testing.assert_array_equal(back.tangents, cloud.tangents)
@@ -41,6 +76,7 @@ def test_point_cloud_without_radii(tmp_path):
                         [[1, 0, 0], [1, 0, 0]])
     path = tmp_path / "cloud.txt"
     write_point_cloud(path, cloud)
+    assert path.read_text() == cloud_text(cloud)
     back = read_point_cloud(path)
     assert back.radii is None
     np.testing.assert_array_equal(back.positions, cloud.positions)
@@ -60,6 +96,9 @@ def test_ground_truth_tree_round_trip(tmp_path):
     tree = generate_tree(n_leaves=7, domain_size=100.0, seed=1)
     path = tmp_path / "tree.txt"
     write_tree(path, tree)
+    assert path.read_text() == tree_text(tree)
+    assert path.read_text().startswith(
+        f"# domain_size {tree.domain_size!r}\n")
     back = read_tree(path)
     assert isinstance(back, GroundTruthTree)
     np.testing.assert_array_equal(back.positions, tree.positions)
@@ -76,6 +115,8 @@ def test_vessel_tree_round_trip_with_cloud(tmp_path):
     tree = minimum_arborescence(graph, 0)
     path = tmp_path / "recon.txt"
     write_tree(path, tree)
+    assert path.read_text() == tree_text(tree)
+    assert f"\n{tree.root} -1 " in path.read_text()    # the NaN root row
 
     back = read_tree(path, cloud=cloud)
     assert back.root == tree.root
@@ -95,6 +136,20 @@ def test_vessel_tree_round_trip_with_cloud(tmp_path):
     np.testing.assert_array_equal(bare.parent[: len(tree.parent)],
                                   tree.parent)
     assert bare.edge_start_tangent is None
+
+    # excluded leaves leave no row; an inf length is written as inf
+    leaves = np.setdiff1d(tree.edge_children(), tree.parent)
+    tree.parent[leaves[:2]] = EXCLUDED
+    for column in (tree.edge_alpha, tree.edge_length, tree.edge_weight):
+        column[leaves[:2]] = np.nan
+    tree.edge_length[leaves[2]] = np.inf
+    write_tree(path, tree)
+    text = path.read_text()
+    assert text == tree_text(tree) and " inf " in text
+    assert len(text.splitlines()) == 2 + tree.n_nodes
+    back = read_tree(path, cloud=cloud)
+    for name in ("parent", "edge_alpha", "edge_length", "edge_weight"):
+        assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
 
 
 def test_tree_file_errors(tmp_path):
