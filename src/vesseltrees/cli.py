@@ -46,11 +46,10 @@ def _add_recon_flags(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=("confluent", "geodesic"),
                    default="confluent")
     p.add_argument("--k", type=int, default=500,
-                   help="cap on each node's isotropic KNN size; confluent "
-                        "mode grows each node's neighbourhood up to it until "
-                        "the tree is certified the same as at this fixed "
-                        "size, geodesic mode uses it as is (candidate size "
-                        "when --anisotropic)")
+                   help="cap on each node's isotropic KNN size; each node's "
+                        "neighbourhood grows up to it until the tree is "
+                        "certified the same as at this fixed size, in "
+                        "either mode (candidate size when --anisotropic)")
     p.add_argument("--anisotropic", action="store_true",
                    help="use tangent-aligned Mahalanobis neighborhoods")
     p.add_argument("--k-final", type=int, default=4)

@@ -15,17 +15,23 @@ output does not depend on the chunk size or the thread count. A confluent
 chunk computes each pair's chord and unit direction once for both arc
 directions, applies the confluence gate, and computes arc length and
 weight only for the arcs that pass it. Measured on 2 CPUs: the dense-k500
-benchmark workload (about 4.8k samples, K=500, 1.4M pairs) peaks at about
-290 MB RSS over its whole synth, reconstruct and evaluate run.
+benchmark workload (about 4.8k samples, cap K=500) peaks at about 103 MB
+RSS over its whole synth, reconstruct and evaluate run, because the
+certified neighbour count solves it from about 20k pairs, not the 1.4M of
+the fixed K=500 system.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
 samples v selected. A sample v did not select is at least d_K(v) from v,
 so an arc into v that the graph leaves out costs at least d_K(v): it is
-at least as long as its chord, and gated arcs cost infinity. That is the
-bound against which ``pipeline`` checks the solver's dual potential P(v)
-to certify a tree built from small neighbourhoods (see ``solvers``);
-``widen_neighbors`` grows only the neighbourhoods that fail the check.
+at least as long as its chord, and gated arcs cost infinity. A geodesic
+edge the graph leaves out joins two samples that did not select each
+other, so its chord is at least d_K at both ends; each of its two shorter
+arcs is at least as long as the chord, so it weighs at least 2 d_K(v) at
+either end v. Those are the bounds against which ``pipeline`` checks the
+solver's potential P(v) to certify a tree built from small neighbourhoods
+(see ``solvers``); ``widen_neighbors`` grows only the neighbourhoods that
+fail the check.
 """
 
 from __future__ import annotations

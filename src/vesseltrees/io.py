@@ -17,6 +17,7 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,18 +28,25 @@ from .synth import GroundTruthTree
 from .trees import EXCLUDED
 
 
+# Rows ``_write_rows`` formats at a time, so a file's cells are never all
+# held as Python objects at once.
+_ROW_BLOCK = 65_536
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path, text: str):
+@contextmanager
+def _atomic_open(path):
+    """A text handle on a temp file that replaces ``path`` on success."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -46,16 +54,25 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def atomic_write_text(path, text: str):
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _write_rows(path, head, columns, sep):
     """Write the ``head`` lines, then the rows that 1-D arrays hold side by
-    side, their cells joined by ``sep``.
+    side, their cells joined by ``sep``, ``_ROW_BLOCK`` rows at a time.
 
-    A cell is the ``str`` of the Python int or float that one ``tolist`` a
+    A cell is the ``str`` of the Python int or float that ``tolist`` of a
     column gives; for a float that is its ``repr``, the text of ``_fmt``.
     """
-    cells = [map(str, np.asarray(column).tolist()) for column in columns]
-    atomic_write_text(path, "\n".join([*head, *map(sep.join, zip(*cells))])
-                      + "\n")
+    columns = [np.asarray(column) for column in columns]
+    with _atomic_open(path) as fh:
+        fh.write("".join(line + "\n" for line in head))
+        for lo in range(0, columns[0].size, _ROW_BLOCK):
+            cells = [map(str, column[lo:lo + _ROW_BLOCK].tolist())
+                     for column in columns]
+            fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
 
 
 def write_point_cloud(path, cloud: SampleCloud):
@@ -305,12 +322,23 @@ def write_neighbor_pairs(path, system):
     write_csv_columns(path, ["u", "v"], system.pairs.T)
 
 
-def read_neighbor_pairs(path):
-    """Load a ``u,v`` pair CSV; a header-only file gives no pairs."""
+def read_neighbor_pairs(path, cloud: SampleCloud | None = None):
+    """Load a ``u,v`` pair CSV; a header-only file gives no pairs.
+
+    Every pair must have ``0 <= u < v``, and ``v`` below the cloud's sample
+    count when a cloud is given; otherwise ValueError names the file.
+    """
     # a file with no data rows is a valid empty system
     pairs = _loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.shape[1] != 2:
         raise ValueError(f"{path}: expected 2 columns, got {pairs.shape[1]}")
+    if np.any(pairs[:, 0] < 0):
+        raise ValueError(f"{path}: pair ids must be >= 0")
+    if np.any(pairs[:, 0] >= pairs[:, 1]):
+        raise ValueError(f"{path}: each pair must have u < v")
+    if cloud is not None and pairs.size and pairs[:, 1].max() >= len(cloud):
+        raise ValueError(f"{path}: pair references node {pairs[:, 1].max()} "
+                         f"but the cloud has {len(cloud)} samples")
     return NeighborSystem(k=0, pairs=pairs)

@@ -49,7 +49,7 @@ SWEEP_PARAMS = {
 }
 DEFAULT_TOL_SCALES = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
 
-# Neighbourhood size every node starts from in certified confluent mode
+# Neighbourhood size every node starts from in certified isotropic modes
 # (see reconstruct_cloud).
 CERTIFY_K0 = 8
 # Relative slack of the certificate test P(v) <= d_K(v), far above the
@@ -62,9 +62,9 @@ class PipelineConfig:
     """Reconstruction and evaluation knobs."""
 
     mode: str = "confluent"            # confluent | geodesic
-    # Isotropic kNN size. In confluent mode it is the cap on each node's
-    # neighbourhood, grown from CERTIFY_K0 until the tree is certified;
-    # geodesic and anisotropic modes use it as the fixed size.
+    # Isotropic kNN size: the cap on each node's neighbourhood, grown from
+    # CERTIFY_K0 until the tree is certified, in confluent and geodesic
+    # mode alike; the anisotropic candidate count otherwise.
     k: int = 500
     anisotropic: bool = False
     k_final: int = 4
@@ -114,12 +114,13 @@ def build_neighbors(cloud, cfg: PipelineConfig):
 
 
 def _uncertified(tree, neighbors) -> np.ndarray:
-    """Mask of the nodes whose dual certificate fails.
+    """Mask of the nodes whose certificate fails.
 
     A reached node passes when its potential P(v) is at most its kNN radius
-    d_K(v): then no arc the graph left out can enter it more cheaply. An
-    unreached node passes only if it selected every other sample, so no
-    arc into it was left out.
+    d_K(v): then no arc the graph left out can enter it more cheaply, and
+    no edge left out at it is as light as a spanning-tree edge. An
+    unreached node passes only if it selected every other sample, so
+    nothing at it was left out.
     """
     n = tree.parent.size
     unreached = (tree.parent == EXCLUDED) & (neighbors.node_k < n - 1)
@@ -148,24 +149,25 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     """Neighbors -> graph -> tree for one cloud; returns the run record.
 
     One loop builds the mode's graph and solves it, round after round. The
-    certificate covers isotropic confluent mode only: there every node
-    starts at ``CERTIFY_K0`` neighbours, up to the cap ``k``, and each round
-    checks every node's certificate. The dual of the solve then holds for
-    every arc left out, so a tree that passes at every node has the least
-    weight over all N(N - 1) arcs, which the fixed-k graph's tree has too.
-    A node that fails grows its neighbourhood, up to the cap, to at least
-    twice its size K, and to K P(v) / d_K(v) if that is more: the size at
-    which samples spread along a vessel as densely as around v now would
-    reach out to P(v). An unreached node goes to the cap at once. If a node
-    fails at the cap, the next round solves the fixed-cap graph. Every
-    other mode solves the graph of ``build_neighbors`` once. The loop stops
-    after a round whose tree is certified or whose nodes are all at the
-    cap, and keeps that round's tree, graph and neighbor system (``k`` is
-    the cap); only the warnings of that round are issued.
+    certificate covers both isotropic modes: there every node starts at
+    ``CERTIFY_K0`` neighbours, up to the cap ``k``, and each round checks
+    every node's certificate. The solver's bound then holds for everything
+    left out, so a tree that passes at every node is the tree over all
+    N(N - 1) arcs, or all pairs in geodesic mode, which is the fixed-k
+    graph's tree too. A node that fails grows its neighbourhood, up to the
+    cap, to at least twice its size K, and to K P(v) / d_K(v) if that is
+    more: the size at which samples spread along a vessel as densely as
+    around v now would reach out to P(v). An unreached node goes to the cap
+    at once. If a node fails at the cap, the next round solves the
+    fixed-cap graph. Anisotropic neighbourhoods solve the graph of
+    ``build_neighbors`` once. The loop stops after a round whose tree is
+    certified or whose nodes are all at the cap, and keeps that round's
+    tree, graph and neighbor system (``k`` is the cap); only the warnings
+    of that round are issued.
     """
     n = len(cloud)
     cap = min(cfg.k, n - 1)
-    certify = cfg.mode == "confluent" and not cfg.anisotropic
+    certify = not cfg.anisotropic
     times = dict.fromkeys(("neighbors_s", "graph_s", "solve_s"), 0.0)
     started = clock = time.perf_counter()
 
@@ -415,7 +417,7 @@ def _evaluate_item(args):
         connectivity = None
         nbr_path = os.path.join(recon_dir, "neighbors", name + ".csv")
         if os.path.exists(nbr_path):
-            system = vio.read_neighbor_pairs(nbr_path)
+            system = vio.read_neighbor_pairs(nbr_path, cloud=cloud)
             connectivity = connectivity_roc(gt, system, cloud)
         rows.append({
             "id": item["id"], "level": level, "threshold": threshold,

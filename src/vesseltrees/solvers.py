@@ -25,6 +25,18 @@ every S that contains v. An arc u -> v that the graph left out can only
 improve the tree if its weight is below P(v): that is the bound the
 certified neighbour count in ``pipeline`` checks against each node's kNN
 radius.
+
+The spanning tree reports a potential too: half the weight of its heaviest
+edge, at every node of the root's tree, the root included (0 for a single
+node). By the cycle property (Kruskal 1956; Tarjan 1983), an edge the graph
+left out cannot change the tree if it is strictly heavier than every tree
+edge, as it is when it weighs more than 2 P(v) at one of its ends v. If
+every edge left out at the root's tree is, Kruskal's (weight, index) order
+over the edges up to the heaviest tree edge is the same in the graph and
+in any supergraph that keeps the edges' relative order, so the root's tree
+is the supergraph's. A left-out geodesic edge weighs at least twice the
+kNN radius at either end, so ``pipeline`` checks P(v) against that radius
+exactly as for the arborescence.
 """
 
 from __future__ import annotations
@@ -268,7 +280,11 @@ def minimum_arborescence(graph: TubularGraph, root: int) -> VesselTree:
 
 
 def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
-    """MST of the root's connected component, re-rooted as a parent map."""
+    """MST of the root's connected component, re-rooted as a parent map.
+
+    ``potential`` is half the heaviest tree edge's weight on the root's
+    component and NaN elsewhere (see the module docstring).
+    """
     if graph.mode != "geodesic":
         raise ValueError("minimum_spanning_tree expects an undirected graph")
     n = graph.n_nodes
@@ -290,4 +306,7 @@ def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
     arc_index[child] = chosen[linked]
     if n > 1 and np.sum(parent >= 0) == 0:
         warnings.warn("root is isolated; returning a single-node tree")
-    return _tree_from_parent(graph, parent, arc_index, root, directed=False)
+    tree = _tree_from_parent(graph, parent, arc_index, root, directed=False)
+    heaviest = np.max(tree.edge_weight[child], initial=0.0)
+    tree.potential = np.where(parent != EXCLUDED, heaviest / 2.0, np.nan)
+    return tree

@@ -1,8 +1,9 @@
-"""The certified neighbour count of isotropic confluent reconstruction.
+"""The certified neighbour count of isotropic reconstruction.
 
-``reconstruct_cloud`` grows per-node neighbourhoods until the solver's dual
-proves the tree optimal over all arcs. These tests hold it to the trees of
-the fixed-k and the all-pairs (K = N - 1) graphs.
+In every isotropic mode ``k`` is the cap, and ``reconstruct_cloud`` grows
+per-node neighbourhoods until the solver's bound proves the tree optimal
+over all arcs (confluent) or all edges (geodesic). These tests hold it to
+the trees of the fixed-k and the all-pairs (K = N - 1) graphs.
 """
 
 import math
@@ -13,11 +14,12 @@ import pytest
 
 from vesseltrees import pipeline
 from vesseltrees.geometry import SampleCloud
-from vesseltrees.graphs import build_confluent_graph, knn_neighbors
+from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph, \
+    knn_neighbors
 from vesseltrees.io import read_neighbor_pairs, read_point_cloud
 from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud, \
     reconstruct_corpus, synth_corpus
-from vesseltrees.solvers import minimum_arborescence
+from vesseltrees.solvers import minimum_arborescence, minimum_spanning_tree
 from vesseltrees.synth import SamplerConfig, generate_tree, sample_centerline
 
 
@@ -26,6 +28,16 @@ def fixed_tree(cloud, k, cfg, root):
                                   epsilon=cfg.epsilon,
                                   elastic_lambda=cfg.elastic_lambda)
     return minimum_arborescence(graph, root)
+
+
+def fixed_mst(cloud, k, root):
+    return minimum_spanning_tree(
+        build_geodesic_graph(cloud, knn_neighbors(cloud, k)), root)
+
+
+def same_tree(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("parent", "edge_weight"))
 
 
 def vessel_cloud(seed, n_max=60, position_noise=0.3, flip=0.0):
@@ -93,6 +105,88 @@ def test_certified_tree_is_the_all_pairs_and_the_fixed_k_tree(monkeypatch,
     assert counts["certified"] >= 30
     assert counts["multi_round"] >= 5
     assert counts["fallback"] >= 30
+
+
+@pytest.mark.parametrize("k0", [2, pipeline.CERTIFY_K0])
+def test_certified_mst_is_the_all_pairs_and_the_fixed_k_mst(monkeypatch, k0):
+    # A left-out edge weighs at least twice its chord, so it is heavier than
+    # every tree edge once half the heaviest is below each kNN radius.
+    monkeypatch.setattr(pipeline, "CERTIFY_K0", k0)
+    counts = {"certified": 0, "multi_round": 0, "fallback": 0}
+    for cloud, root in small_clouds():
+        n = len(cloud)
+        for cap in (6, 30):
+            cfg = PipelineConfig(mode="geodesic", k=cap)
+            tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+            k = min(cap, n - 1)
+            assert same_tree(tree, fixed_mst(cloud, k, root))
+            assert neighbors.k == k
+            assert stats["n_arcs"] == build_geodesic_graph(
+                cloud, neighbors).n_arcs
+            if stats["certified"]:
+                counts["certified"] += 1
+                counts["multi_round"] += stats["k_rounds"] > 1
+                assert same_tree(tree, fixed_mst(cloud, n - 1, root))
+            else:
+                counts["fallback"] += 1
+                assert stats["k_max"] == k
+    assert counts["certified"] >= 12
+    assert counts["multi_round"] >= 5
+    assert counts["fallback"] >= 8
+
+
+def star_of_arms():
+    """Three straight arms leave the root at 120 degrees, their samples 1,
+    2.2 and 3.4 from it and flowing outward. The root flows across the
+    plane, so its edges are quarter-circle arcs, the heaviest of the tree;
+    of every sample's 3 nearest, only the root's lie within half of it."""
+    pos, tan = [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
+    for arm in range(3):
+        angle = 2.0 * math.pi * arm / 3.0
+        out = [math.cos(angle), math.sin(angle), 0.0]
+        for r in (1.0, 2.2, 3.4):
+            pos.append([r * c for c in out])
+            tan.append(out)
+    return SampleCloud(pos, tan)
+
+
+def test_mst_certificate_holds_at_the_root(monkeypatch):
+    # Unlike the arborescence, whose root has no entering arcs, the
+    # spanning tree's root has left-out edges like any other node, so its
+    # bound is the same and it must pass too. Each of those edges also has
+    # an end that passes here, so the round the root asks for proves the
+    # tree rather than changing it.
+    cloud = star_of_arms()
+    n = len(cloud)
+    neighbors = knn_neighbors(cloud, 3)
+    first = minimum_spanning_tree(build_geodesic_graph(cloud, neighbors), 0)
+    assert first.potential[0] == np.max(first.edge_weight[1:]) / 2.0
+    assert np.flatnonzero(pipeline._uncertified(first, neighbors)).tolist() \
+        == [0]
+    assert same_tree(first, fixed_mst(cloud, n - 1, 0))
+    monkeypatch.setattr(pipeline, "CERTIFY_K0", 3)
+    cfg = PipelineConfig(mode="geodesic")
+    tree, stats, neighbors = reconstruct_cloud(cloud, cfg, 0)
+    assert stats["k_rounds"] == 2 and stats["certified"] is True
+    assert neighbors.node_k.tolist() == [6] + [3] * (n - 1)
+    assert same_tree(tree, fixed_mst(cloud, n - 1, 0))
+
+
+def test_mst_grows_across_a_gap_wider_than_twice_the_knn_radius():
+    # Round one reaches only the root's chain; the far chain goes to the
+    # cap, and the edge across the gap then fails every node of the near
+    # chain, which grows until the tree is proven.
+    near = [[float(i), 0.0, 0.0] for i in range(12)]
+    far = [[31.0 + i, 0.0, 0.0] for i in range(12)]
+    cloud = SampleCloud(near + far, np.tile([1.0, 0.0, 0.0], (24, 1)))
+    d_8 = knn_neighbors(cloud, pipeline.CERTIFY_K0).kth_distance.max()
+    assert 31.0 - 11.0 > 2.0 * d_8
+    for cap in (23, 500):
+        cfg = PipelineConfig(mode="geodesic", k=cap)
+        tree, stats, _ = reconstruct_cloud(cloud, cfg, 0)
+        assert stats["certified"] is True and stats["k_rounds"] >= 3
+        assert tree.n_nodes == 24
+        assert same_tree(tree, fixed_mst(cloud, 23, 0))
 
 
 def test_flipped_tangent_fallback_is_the_fixed_k_tree():
@@ -192,13 +286,19 @@ def test_stats_describe_the_loop():
     assert stats["n_arcs"] == build_confluent_graph(
         cloud, neighbors, math.pi / 2).n_arcs
     all_stats = [stats]
-    for mode, anisotropic in (("geodesic", False), ("confluent", True)):
-        cfg = PipelineConfig(mode=mode, anisotropic=anisotropic, k=20)
-        _, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
-        assert stats["certified"] is None
-        assert stats["uncertified_nodes"] is None
-        assert stats["k_rounds"] == 1 and stats["k_max"] == neighbors.k
-        all_stats.append(stats)
+    cfg = PipelineConfig(mode="geodesic", k=20)
+    _, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    assert stats["certified"] is True and stats["uncertified_nodes"] == 0
+    assert stats["k_max"] == int(neighbors.node_k.max()) <= 20
+    assert stats["n_neighbor_pairs"] == neighbors.n_pairs
+    assert stats["n_arcs"] == build_geodesic_graph(cloud, neighbors).n_arcs
+    all_stats.append(stats)
+    cfg = PipelineConfig(anisotropic=True, k=20)
+    _, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    assert stats["certified"] is None
+    assert stats["uncertified_nodes"] is None
+    assert stats["k_rounds"] == 1 and stats["k_max"] == neighbors.k
+    all_stats.append(stats)
     # one lap clock: the stage times add up to the wall time in every mode
     for stats in all_stats:
         stages = stats["neighbors_s"] + stats["graph_s"] + stats["solve_s"]
@@ -223,13 +323,17 @@ def test_fallback_counts_the_failing_nodes_of_the_kept_tree():
 
 
 def test_dumped_neighbors_are_the_fixed_k_system(tmp_path):
-    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    corpus = tmp_path / "corpus"
     manifest = synth_corpus(corpus, n_trees=1, n_leaves=4, domain_size=50.0,
                             seed=3)
-    results = reconstruct_corpus(corpus, run, PipelineConfig(k=30),
-                                 dump_neighbors=True)
-    assert results[0][2]["certified"] is True
     item = manifest["items"][0]
     cloud = read_point_cloud(corpus / item["clouds"][0]["path"])
-    dumped = read_neighbor_pairs(run / "neighbors" / "recon_000_l00.csv")
-    assert np.array_equal(dumped.pairs, knn_neighbors(cloud, 30).pairs)
+    for mode in ("confluent", "geodesic"):
+        run = tmp_path / mode
+        results = reconstruct_corpus(corpus, run,
+                                     PipelineConfig(mode=mode, k=30),
+                                     dump_neighbors=True)
+        assert results[0][2]["certified"] is True
+        assert results[0][2]["k_max"] < 30
+        dumped = read_neighbor_pairs(run / "neighbors" / "recon_000_l00.csv")
+        assert np.array_equal(dumped.pairs, knn_neighbors(cloud, 30).pairs)

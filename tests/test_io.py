@@ -1,10 +1,12 @@
 """Round-trip tests for the text file formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from vesseltrees import io as vio
 from vesseltrees.geometry import SampleCloud
 from vesseltrees.io import (
     read_csv,
@@ -201,6 +203,48 @@ def test_neighbor_pairs_header_only_and_malformed(tmp_path, recwarn):
         path.write_text(body)
         with pytest.raises(ValueError):
             read_neighbor_pairs(path)
+
+
+def test_neighbor_pairs_out_of_range_or_unordered(tmp_path):
+    # -1 would index the last sample and a pair past the cloud would raise
+    # a bare IndexError where the pairs are scored, so both are refused
+    path = tmp_path / "pairs.csv"
+    cloud = SampleCloud(np.arange(12.0).reshape(4, 3),
+                        np.tile([1.0, 0.0, 0.0], (4, 1)))
+    path.write_text("u,v\n0,3\n1,2\n")
+    assert read_neighbor_pairs(path, cloud=cloud).pairs.tolist() == \
+        [[0, 3], [1, 2]]
+    for body, message in (("u,v\n-1,3\n", "pair ids must be >= 0"),
+                          ("u,v\n2,2\n", "u < v"),
+                          ("u,v\n0,1\n3,1\n", "u < v"),
+                          ("u,v\n0,4\n", "references node 4 but the "
+                                          "cloud has 4 samples")):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            read_neighbor_pairs(path, cloud=cloud)
+        assert message in str(err.value)
+    path.write_text("u,v\n0,4\n")      # without a cloud there is no bound
+    assert read_neighbor_pairs(path).pairs.tolist() == [[0, 4]]
+
+
+def test_row_blocks_give_the_bytes_of_cells(tmp_path, monkeypatch):
+    gt = generate_tree(n_leaves=3, domain_size=40.0, seed=4)
+    cloud = sample_centerline(gt, SamplerConfig(seed=4))
+    tree = minimum_arborescence(build_confluent_graph(
+        cloud, knn_neighbors(cloud, 8), epsilon=math.pi / 2), 0)
+    ints = np.arange(len(cloud)) * 7
+    for block in (1, 7, len(cloud)):
+        monkeypatch.setattr(vio, "_ROW_BLOCK", block)
+        write_point_cloud(tmp_path / "cloud.txt", cloud)
+        assert (tmp_path / "cloud.txt").read_text() == cloud_text(cloud)
+        write_tree(tmp_path / "tree.txt", tree)
+        assert (tmp_path / "tree.txt").read_text() == tree_text(tree)
+        write_csv_columns(tmp_path / "cols.csv", ["i", "x"],
+                          [ints, cloud.radii])
+        assert (tmp_path / "cols.csv").read_text() == per_cell_text(
+            ["i,x"], [ints], [cloud.radii]).replace(" ", ",")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cloud.txt", "cols.csv", "tree.txt"]     # no temp file left
 
 
 def test_nan_samples_rejected(tmp_path):

@@ -419,3 +419,21 @@ def test_potential_certifies_the_arcs_left_out():
             nested += bool(np.any(chosen < potential[reached] * (1 - 1e-9)))
             assert parent.tolist() == full.tolist()
     assert certified >= 50 and nested >= 15
+
+
+def test_mst_potential_is_half_the_heaviest_edge_on_the_root_tree():
+    # 0 - 1 - 2 is the root's tree; 3 - 4 is a component it never reaches
+    cloud = SampleCloud(np.arange(15.0).reshape(5, 3),
+                        np.tile([1.0, 0, 0], (5, 1)))
+    g = TubularGraph(cloud, [0, 1, 0, 3], [1, 2, 2, 4], [1.0, 3.0, 5.0, 7.0],
+                     mode="geodesic")
+    tree = minimum_spanning_tree(g, 0)
+    assert tree.potential[:3].tolist() == [1.5, 1.5, 1.5]
+    assert np.isnan(tree.potential[3:]).all()
+    tree = minimum_spanning_tree(g, 2)    # the same tree from another root
+    assert tree.potential[:3].tolist() == [1.5, 1.5, 1.5]
+    with pytest.warns(UserWarning, match="root is isolated"):
+        tree = minimum_spanning_tree(
+            TubularGraph(cloud, [3], [4], [7.0], mode="geodesic"), 0)
+    assert tree.potential[0] == 0.0
+    assert np.isnan(tree.potential[1:]).all()
