@@ -183,6 +183,26 @@ def _nearest_codes(tree, positions, rows, k, n):
     return np.concatenate(codes), kth
 
 
+def _all_pairs(positions):
+    """Every pair ``i < j`` in lexicographic order, and each row's d_{N-1}.
+
+    This is what ``_nearest_codes`` gives when every row selects every
+    other sample, without the k-d tree query. Each row's farthest-sample
+    distance is summed as the k-d tree sums it, ``(dx*dx + dy*dy) +
+    dz*dz``, so the square root of the row maximum is its distance bit for
+    bit; rows are taken in chunks of about ``_PAIR_CHUNK`` distances.
+    """
+    n = positions.shape[0]
+    far = np.empty(n)
+    step = max(1, _PAIR_CHUNK // n)
+    for lo in range(0, n, step):
+        diff = positions[lo:lo + step, None, :] - positions[None, :, :]
+        sq = diff * diff
+        far[lo:lo + step] = ((sq[..., 0] + sq[..., 1]) + sq[..., 2]).max(
+            axis=1)
+    return np.stack(np.triu_indices(n, 1), axis=1), np.sqrt(far)
+
+
 def knn_neighbors(samples, k: int) -> NeighborSystem:
     """Symmetrized k-nearest-neighbor pairs under Euclidean distance.
 
@@ -190,18 +210,23 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
     ``_nearest_codes`` for the rows crowded by coincident samples. Which of
     several samples tied at the last queried distance enter a row is the
     k-d tree's choice, not the lowest index. ``k`` is clamped to |V| - 1
-    with a warning when too large.
+    with a warning when too large. At k = |V| - 1 every sample selects
+    every other, so the system is all pairs and takes no k-d tree query
+    (see ``_all_pairs``).
     """
     cloud = as_cloud(samples)
     n = len(cloud)
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
     k = _clamp_k(k, n, "k")
-    codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
-                                np.arange(n), k, n)
-    return NeighborSystem(k=k, pairs=_decode_pairs(_sorted_unique(codes), n),
-                          flavor="isotropic", node_k=np.full(n, k),
-                          kth_distance=kth)
+    if k == n - 1:
+        pairs, kth = _all_pairs(cloud.positions)
+    else:
+        codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
+                                    np.arange(n), k, n)
+        pairs = _decode_pairs(_sorted_unique(codes), n)
+    return NeighborSystem(k=k, pairs=pairs, flavor="isotropic",
+                          node_k=np.full(n, k), kth_distance=kth)
 
 
 def widen_neighbors(samples, neighbors: NeighborSystem, nodes,

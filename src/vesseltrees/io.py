@@ -5,8 +5,11 @@ files start with a ``root <index>`` header followed by per-node rows,
 ``node parent x y z radius`` for ground truth and ``node parent x y z
 alpha length weight`` for reconstructions (the root row carries ``nan``
 edge fields). ``#`` starts a comment in either format. Floats are written
-with ``repr`` so every file round-trips bit-exactly. All writes go through
-a temp file and an atomic rename.
+with ``repr`` so every file round-trips bit-exactly. A table whose columns
+are all integers, such as a neighbour-pair CSV, is formatted in numpy
+passes with the same bytes as ``str`` of each cell; a table with a float
+column formats its cells one by one, since ``repr`` of a float has no
+vectorised equal. All writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .trees import EXCLUDED
 # Rows ``_write_rows`` formats at a time, so a file's cells are never all
 # held as Python objects at once.
 _ROW_BLOCK = 65_536
+
+# 10 to 10**19, every power of ten below 2**64: a uint64 magnitude has one
+# digit more than the number of them it reaches.
+_POW10 = np.array([10 ** e for e in range(1, 20)], dtype=np.uint64)
 
 
 def _fmt(value) -> str:
@@ -59,19 +66,48 @@ def atomic_write_text(path, text: str):
         fh.write(text)
 
 
+def _int_rows_text(columns, sep):
+    """The rows of integer columns as ``_write_rows`` writes them, built in
+    numpy passes. Each cell is one column of a byte table: a sign, its
+    digits right-aligned to the widest cell, then ``sep`` or, after the
+    last column, a newline. One mask keeps each cell's own bytes."""
+    cells = np.stack(columns, axis=1).ravel().astype(np.int64)
+    mag = np.abs(cells).view(np.uint64)   # |-2**63| wraps to 2**63
+    digits = np.searchsorted(_POW10, mag, side="right") + 1
+    width = int(digits.max())
+    table = np.empty((width + 2, cells.size), dtype=np.uint8)
+    for row in range(width, 0, -1):
+        mag, table[row] = np.divmod(mag, 10)
+    table[1:-1] += ord("0")
+    table[0] = ord("-")
+    table[-1] = ord(sep)
+    table[-1, len(columns) - 1::len(columns)] = ord("\n")
+    keep = np.ones(table.shape, dtype=bool)
+    keep[0] = cells < 0
+    keep[1:-1] = np.arange(width, 0, -1)[:, None] <= digits
+    return table.T[keep.T].tobytes().decode("ascii")
+
+
 def _write_rows(path, head, columns, sep):
     """Write the ``head`` lines, then the rows that 1-D arrays hold side by
     side, their cells joined by ``sep``, ``_ROW_BLOCK`` rows at a time.
 
     A cell is the ``str`` of the Python int or float that ``tolist`` of a
     column gives; for a float that is its ``repr``, the text of ``_fmt``.
+    Where every column is a signed integer array, ``_int_rows_text``
+    formats each block with the same bytes (for a ``sep`` of one ASCII
+    character, as every caller passes).
     """
     columns = [np.asarray(column) for column in columns]
+    as_ints = all(column.dtype.kind == "i" for column in columns)
     with _atomic_open(path) as fh:
         fh.write("".join(line + "\n" for line in head))
         for lo in range(0, columns[0].size, _ROW_BLOCK):
-            cells = [map(str, column[lo:lo + _ROW_BLOCK].tolist())
-                     for column in columns]
+            block = [column[lo:lo + _ROW_BLOCK] for column in columns]
+            if as_ints:
+                fh.write(_int_rows_text(block, sep))
+                continue
+            cells = [map(str, column.tolist()) for column in block]
             fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
 
 
@@ -326,7 +362,10 @@ def read_neighbor_pairs(path, cloud: SampleCloud | None = None):
     """Load a ``u,v`` pair CSV; a header-only file gives no pairs.
 
     Every pair must have ``0 <= u < v``, and ``v`` below the cloud's sample
-    count when a cloud is given; otherwise ValueError names the file.
+    count when a cloud is given, and no pair may repeat; otherwise
+    ValueError names the file. Pairs in the (u, v) order that
+    ``write_neighbor_pairs`` gives are strictly increasing there, so only
+    a file in another order is sorted to look for repeats.
     """
     # a file with no data rows is a valid empty system
     pairs = _loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
@@ -338,6 +377,13 @@ def read_neighbor_pairs(path, cloud: SampleCloud | None = None):
         raise ValueError(f"{path}: pair ids must be >= 0")
     if np.any(pairs[:, 0] >= pairs[:, 1]):
         raise ValueError(f"{path}: each pair must have u < v")
+    u, v = pairs.T
+    if not np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
+        u, v = pairs[np.lexsort((v, u))].T
+        repeat = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))
+        if repeat.size:
+            raise ValueError(f"{path}: pair {u[repeat[0]]},{v[repeat[0]]} "
+                             "is listed more than once")
     if cloud is not None and pairs.size and pairs[:, 1].max() >= len(cloud):
         raise ValueError(f"{path}: pair references node {pairs[:, 1].max()} "
                          f"but the cloud has {len(cloud)} samples")

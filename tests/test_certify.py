@@ -11,11 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from vesseltrees import pipeline
+from vesseltrees import graphs, pipeline
 from vesseltrees.geometry import SampleCloud
-from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph, \
-    knn_neighbors
+from vesseltrees.graphs import NeighborSystem, build_confluent_graph, \
+    build_geodesic_graph, knn_neighbors
 from vesseltrees.io import read_neighbor_pairs, read_point_cloud
 from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud, \
     reconstruct_corpus, synth_corpus
@@ -205,6 +206,49 @@ def test_flipped_tangent_fallback_is_the_fixed_k_tree():
     assert np.array_equal(neighbors.pairs, knn_neighbors(cloud, 6).pairs)
     assert stats["n_neighbor_pairs"] == neighbors.n_pairs
     assert stats["k_max"] == 6
+
+
+def kd_tree_knn(cloud, k):
+    """``knn_neighbors`` through the k-d tree query at every k."""
+    n = len(cloud)
+    codes, kth = graphs._nearest_codes(cKDTree(cloud.positions),
+                                       cloud.positions, np.arange(n), k, n)
+    return NeighborSystem(k=k, pairs=graphs._decode_pairs(
+        graphs._sorted_unique(codes), n), node_k=np.full(n, k),
+        kth_distance=kth)
+
+
+@pytest.mark.parametrize("seed, n_max", [(1, 60), (4, 120)])
+def test_fallback_at_a_clamped_cap_is_the_kd_tree_fallback(monkeypatch,
+                                                           seed, n_max):
+    # k = 500 clamps to N - 1, and a flipped sample fails there, so the
+    # fallback round solves the all-pairs system; built without a k-d tree
+    # query it must give the tree and certificate of the queried system.
+    cloud, root = vessel_cloud(seed, n_max=n_max, position_noise=0.3,
+                               flip=0.1)
+    n = len(cloud)
+    sizes = []
+
+    def knn_spy(samples, k):
+        sizes.append(k)
+        return knn_neighbors(samples, k)
+
+    monkeypatch.setattr(pipeline, "knn_neighbors", knn_spy)
+    tree, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(), root)
+    assert sizes[-1] == n - 1 and stats["certified"] is False
+    monkeypatch.setattr(pipeline, "knn_neighbors", kd_tree_knn)
+    ref_tree, ref_stats, ref_neighbors = reconstruct_cloud(
+        cloud, PipelineConfig(), root)
+    for name in ("parent", "edge_weight", "edge_alpha", "edge_length",
+                 "potential"):
+        assert getattr(tree, name).tobytes() == \
+            getattr(ref_tree, name).tobytes()
+    for key in ("certified", "uncertified_nodes", "k_rounds", "k_max",
+                "n_neighbor_pairs", "n_arcs", "total_weight"):
+        assert stats[key] == ref_stats[key]
+    assert neighbors.pairs.tobytes() == ref_neighbors.pairs.tobytes()
+    assert neighbors.kth_distance.tobytes() == \
+        ref_neighbors.kth_distance.tobytes()
 
 
 def chain_beyond_cluster():

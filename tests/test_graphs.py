@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from vesseltrees import graphs
 from vesseltrees.geometry import (
@@ -163,6 +164,51 @@ def test_k_clamped_with_warning():
         system = knn_neighbors(cloud, k=10)
     assert system.k == 4
     assert system.n_pairs == 5 * 4 // 2
+
+
+def kd_tree_system(cloud, k):
+    """``(pairs, d_k)`` of the k-d tree path of ``knn_neighbors``."""
+    n = len(cloud)
+    codes, kth = graphs._nearest_codes(cKDTree(cloud.positions),
+                                       cloud.positions, np.arange(n), k, n)
+    return graphs._decode_pairs(graphs._sorted_unique(codes), n), kth
+
+
+class _NoQueryTree:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the all-pairs system needs no k-d tree")
+
+
+def test_all_pairs_system_is_the_kd_tree_system(monkeypatch):
+    rng = np.random.default_rng(21)
+    clouds = [random_cloud(rng, n, box=box) for n, box in
+              ((2, 10.0), (3, 1e-3), (40, 10.0), (257, 1e4))]
+    clouds.append(crowded_lattice_cloud(rng, 3, crowd=6))
+    same = random_cloud(rng, 5)          # every sample at one point
+    clouds.append(SampleCloud(np.zeros((5, 3)), same.tangents))
+    twin = random_cloud(rng, 60)         # pairs and triples of coincident
+    twin.positions[1::2] = twin.positions[::2]
+    twin.positions[::3] = twin.positions[0]
+    clouds.append(twin)
+    for cloud in clouds:
+        n = len(cloud)
+        pairs, kth = kd_tree_system(cloud, n - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "cKDTree", _NoQueryTree)
+            for chunk in (1, 97, graphs._PAIR_CHUNK):   # rows per pass vary
+                patch.setattr(graphs, "_PAIR_CHUNK", chunk)
+                system = knn_neighbors(cloud, n - 1)
+                assert system.pairs.dtype == pairs.dtype
+                assert system.pairs.tobytes() == pairs.tobytes()
+                assert system.kth_distance.tobytes() == kth.tobytes()
+                assert system.node_k.tolist() == [n - 1] * n
+                assert system.k == n - 1
+            # an oversized k still warns and clamps to the same system
+            with pytest.warns(UserWarning, match="clamping"):
+                clamped = knn_neighbors(cloud, n + 3)
+        assert clamped.k == n - 1
+        assert clamped.pairs.tobytes() == pairs.tobytes()
+        assert clamped.kth_distance.tobytes() == kth.tobytes()
 
 
 def test_knn_matches_brute_force():

@@ -178,17 +178,26 @@ def test_csv_round_trip(tmp_path):
     assert float(got_rows[2][1]) == 1.2345678901234567e-12
 
 
-def test_neighbor_pairs_round_trip(tmp_path):
+def test_neighbor_pairs_round_trip(tmp_path, monkeypatch):
     system = NeighborSystem(k=2, pairs=np.array([[0, 1], [1, 2], [0, 3]]))
     path = tmp_path / "pairs.csv"
     write_neighbor_pairs(path, system)
     back = read_neighbor_pairs(path)
     np.testing.assert_array_equal(back.pairs, system.pairs)
-    # the same bytes as a CSV of integer cells
-    for pairs in (system.pairs, np.empty((0, 2), dtype=np.int64)):
-        write_neighbor_pairs(path, NeighborSystem(k=2, pairs=pairs))
+    # the same bytes as a CSV of integer cells, in blocks of any size
+    cloud = sample_centerline(generate_tree(n_leaves=3, domain_size=40.0,
+                                            seed=4), SamplerConfig(seed=4))
+    everything = knn_neighbors(cloud, len(cloud) - 1).pairs
+    for pairs in (system.pairs, np.empty((0, 2), dtype=np.int64),
+                  everything):
         write_csv(tmp_path / "cells.csv", ["u", "v"], pairs.tolist())
-        assert path.read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        for block in (1, 7, max(len(pairs), 1)):
+            monkeypatch.setattr(vio, "_ROW_BLOCK", block)
+            write_neighbor_pairs(path, NeighborSystem(k=2, pairs=pairs))
+            assert path.read_bytes() == \
+                (tmp_path / "cells.csv").read_bytes()
+    assert read_neighbor_pairs(path, cloud=cloud).pairs.tobytes() == \
+        everything.tobytes()
 
 
 def test_neighbor_pairs_header_only_and_malformed(tmp_path, recwarn):
@@ -341,3 +350,36 @@ def test_csv_columns_give_the_bytes_of_rows(tmp_path):
         (tmp_path / "cols.csv").read_bytes()
     write_csv_columns(tmp_path / "empty.csv", ["u"], [np.empty(0, int)])
     assert (tmp_path / "empty.csv").read_text() == "u\n"
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_integer_tables_give_the_bytes_of_cells(tmp_path, monkeypatch, sep):
+    # digit-count edges, signs and 0, in a 64-bit and a 32-bit column
+    wide = np.array([0, 9, 10, 99, 100, -1, -9, -10, -99, -100, 10**18,
+                     -10**18, 2**63 - 1, -2**63], dtype=np.int64)
+    narrow = np.resize(np.array([7, -2**31, 2**31 - 1, 0, -5, 1000],
+                                dtype=np.int32), wide.size)
+    path = tmp_path / "ints.txt"
+    for rows in (wide.size, 1, 0):
+        columns = [wide[:rows], narrow[:rows], wide[::-1][:rows]]
+        expected = "".join(
+            f"{sep.join(str(int(column[i])) for column in columns)}\n"
+            for i in range(rows))
+        for block in (1, 7, max(rows, 1)):
+            monkeypatch.setattr(vio, "_ROW_BLOCK", block)
+            vio._write_rows(path, ["# a b c"], columns, sep)
+            assert path.read_bytes() == ("# a b c\n" + expected).encode()
+
+
+def test_neighbor_pairs_must_not_repeat(tmp_path):
+    # connectivity_roc would score each copy of a repeated pair
+    path = tmp_path / "pairs.csv"
+    path.write_text("u,v\n2,3\n0,1\n1,2\n")      # any order is accepted
+    assert read_neighbor_pairs(path).pairs.tolist() == [[2, 3], [0, 1],
+                                                        [1, 2]]
+    for body in ("u,v\n0,1\n0,1\n", "u,v\n0,1\n1,2\n2,3\n1,2\n",
+                 "u,v\n1,2\n0,5\n1,2\n0,3\n"):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            read_neighbor_pairs(path)
+        assert "is listed more than once" in str(err.value)
