@@ -87,8 +87,6 @@ class NeighborSystem:
 
     k: int
     pairs: np.ndarray
-    flavor: str = "isotropic"
-    aspect_ratio_sq: float | None = None
     node_k: np.ndarray | None = None
     kth_distance: np.ndarray | None = None
 
@@ -225,8 +223,8 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
         codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
                                     np.arange(n), k, n)
         pairs = _decode_pairs(_sorted_unique(codes), n)
-    return NeighborSystem(k=k, pairs=pairs, flavor="isotropic",
-                          node_k=np.full(n, k), kth_distance=kth)
+    return NeighborSystem(k=k, pairs=pairs, node_k=np.full(n, k),
+                          kth_distance=kth)
 
 
 def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
@@ -260,8 +258,7 @@ def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
         codes.append(size_codes)
     pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
     return NeighborSystem(k=max(neighbors.k, int(node_k.max())), pairs=pairs,
-                          flavor="isotropic", node_k=node_k,
-                          kth_distance=kth)
+                          node_k=node_k, kth_distance=kth)
 
 
 def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
@@ -273,6 +270,11 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
     displacement component along the node's tangent; the ``k_final`` best
     are kept and the union symmetrized. This stretches neighborhoods along
     the vessel so sparse stretches bridge without linking across branches.
+
+    Trees solved on these systems are not certified. A pair across the
+    tangent can be left out although it is shorter than the pairs kept, so
+    no radius bounds the arcs the system drops, and it carries no
+    ``node_k`` or ``kth_distance``.
     """
     cloud = as_cloud(samples)
     n = len(cloud)
@@ -297,8 +299,7 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
         codes.append(_encode_pairs(np.repeat(rows, k_final),
                                    _smallest(maha, idx, k_final).ravel(), n))
     pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
-    return NeighborSystem(k=k_final, pairs=pairs, flavor="anisotropic",
-                          aspect_ratio_sq=aspect_ratio_sq)
+    return NeighborSystem(k=k_final, pairs=pairs)
 
 
 def _usable_cpus() -> int:
@@ -341,15 +342,12 @@ class TubularGraph:
     symmetric length-based weights.
     """
 
-    def __init__(self, samples: SampleCloud, tails, heads, weights, mode,
-                 epsilon: float | None = None, elastic_lambda: float = 0.0):
+    def __init__(self, samples: SampleCloud, tails, heads, weights, mode):
         self.samples = samples
         self.tails = np.asarray(tails, dtype=np.int32)
         self.heads = np.asarray(heads, dtype=np.int32)
         self.weights = np.asarray(weights, dtype=float)
         self.mode = mode
-        self.epsilon = epsilon
-        self.elastic_lambda = elastic_lambda
 
     @property
     def n_nodes(self) -> int:
@@ -423,8 +421,7 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
     # the (tail, head) lexsort order whatever the chunking
     order = np.argsort(tails.astype(np.int64) * len(cloud) + heads)
     return TubularGraph(cloud, tails[order], heads[order], weights[order],
-                        mode="confluent", epsilon=epsilon,
-                        elastic_lambda=elastic_lambda)
+                        mode="confluent")
 
 
 def build_geodesic_graph(samples, neighbors: NeighborSystem) -> TubularGraph:

@@ -28,7 +28,6 @@ from .graphs import anisotropic_knn, build_confluent_graph, \
 # here, but perfbench/spans.py wraps them as globals of this module.
 from .metrics import (
     DEFAULT_STEP,
-    DEFAULT_ZETA,
     MatchTolerance,
     angular_errors,
     bifurcation_roc,
@@ -73,10 +72,6 @@ class PipelineConfig:
     elastic_lambda: float = 0.0
     root_index: int | None = None
     root_at: tuple | None = None
-    resample_step: float = DEFAULT_STEP
-    zeta: float = DEFAULT_ZETA
-    use_radius: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("confluent", "geodesic"):
@@ -86,11 +81,6 @@ class PipelineConfig:
             raise ValueError(f"epsilon must be in (0, pi], got {self.epsilon}")
         if self.elastic_lambda < 0:
             raise ValueError("elastic_lambda must be >= 0")
-        if self.resample_step <= 0 or self.zeta <= 0:
-            raise ValueError("resample_step and zeta must be > 0")
-
-    def tolerance(self) -> MatchTolerance:
-        return MatchTolerance(zeta=self.zeta, uses_radius=self.use_radius)
 
 
 def resolve_root(cloud, root_index=None, root_at=None) -> int:

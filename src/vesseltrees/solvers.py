@@ -1,15 +1,22 @@
 """Exact tree solvers: minimum arborescence and minimum spanning tree.
 
 The arborescence solver is the classic cycle-contraction algorithm on
-sparse arc arrays. Each round selects the minimum entering arc of every
-supernode with two O(|A|) scatter-min passes, one over weights and one over
-arc indices among the tied arcs, so no round sorts. Cycles among those
-selections are contracted simultaneously and the round repeats.
-Contraction records are replayed in reverse to expand the optimum back to
-original nodes. This is the O(|A| |V|) worst case, but rounds are few on
-vessel-like data: 4.8k nodes with 1.5M arcs (K=500) solve in about 0.1 s on
-a 2-core x86 machine. The spanning tree is scipy's Kruskal on each edge's
-(weight, index) rank.
+sparse arc arrays, one round of array passes at a time. Each round selects
+the minimum entering arc of every supernode with two O(|A|) scatter-min
+passes, one over weights and one over arc indices among the tied arcs, so
+no round sorts. Every supernode then has at most one selected arc, so the
+cycles among the selections are the strong components of two or more
+nodes of the head -> tail map (Tarjan 1972), which scipy's
+``connected_components`` finds; all of them are contracted at once into
+fresh supernode ids and the round repeats. No node is contracted twice, so
+two arrays indexed by node id record every contraction: the supernode a
+node went into, and the arc it selected there. Expansion runs the rounds
+backwards, each round in one pass: the entering arc of each of its
+supernodes goes to the member that holds the arc's head, and the other
+members keep their selected arcs. This is the O(|A| |V|) worst case, but
+rounds are few on vessel-like data: 4.8k nodes with 1.5M arcs (K=500)
+solve in about 0.14 s on a 2-core Intel Xeon (x86-64). The spanning tree
+is scipy's Kruskal on each edge's (weight, index) rank.
 
 Ties are broken by lowest arc index everywhere, which makes both solvers
 deterministic for a given input ordering.
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
 
 from .graphs import TubularGraph
@@ -76,34 +83,6 @@ class VesselTree(ParentTree):
     potential: np.ndarray | None = None
 
     radii = None
-
-
-def _find_cycles(succ, root):
-    """Disjoint cycles of the successor map (head supernode -> tail)."""
-    color = {}
-    cycles = []
-    for start in succ:
-        if start in color:
-            continue
-        path = []
-        node = start
-        while True:
-            if node == root or (node not in succ and node not in color):
-                if node != root and node not in succ:
-                    color[node] = 1
-                break
-            state = color.get(node)
-            if state == 1:
-                break
-            if state == 0:
-                cycles.append(path[path.index(node):])
-                break
-            color[node] = 0
-            path.append(node)
-            node = succ[node]
-        for x in path:
-            color[x] = 1
-    return cycles
 
 
 def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
@@ -139,43 +118,46 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     cur_h = heads[arc_ids].copy()
     adj_w = weights[arc_ids].copy()
 
-    # Supernodes created by contraction get fresh ids above n_nodes.
+    # Supernodes created by contraction get fresh ids above n_nodes. Every
+    # node is contracted at most once, so one slot per id records its
+    # supernode and the arc it selected on that cycle, or in the last
+    # round if it never is; created[r] is the first supernode id of round r.
     parent_super = np.full(2 * n_nodes, -1, dtype=np.int64)
+    enter_arc = np.full(2 * n_nodes, -1, dtype=np.int64)
     dual = np.zeros(2 * n_nodes)       # y_S of every supernode S
-    records = []
+    created = []
     next_id = n_nodes
 
     while True:
         # Entering arc of every head: least weight, then lowest arc index.
         # arc_ids stays ascending through every filter, so searchsorted
-        # maps the chosen ids back to positions.
+        # finds the chosen arcs' tails.
         best_w = np.full(next_id, np.inf)
         np.minimum.at(best_w, cur_h, adj_w)
         tied = adj_w == best_w[cur_h]
         first_id = np.full(next_id, _NO_ARC, dtype=np.int64)
         np.minimum.at(first_id, cur_h[tied], arc_ids[tied])
         sel_heads = np.flatnonzero(first_id != _NO_ARC)
-        sel_pos = np.searchsorted(arc_ids, first_id[sel_heads])
+        enter_arc[sel_heads] = first_id[sel_heads]
+        sel_tails = cur_t[np.searchsorted(arc_ids, first_id[sel_heads])]
+        dual[sel_heads] = best_w[sel_heads]
 
-        succ = dict(zip(sel_heads.tolist(), cur_t[sel_pos].tolist()))
-        sel_of = dict(zip(sel_heads.tolist(), sel_pos.tolist()))
-        cycles = _find_cycles(succ, root)
-        if not cycles:
+        # Each head has one selected arc, so the strong components of two
+        # or more nodes in the head -> tail map are exactly its cycles.
+        succ = csr_matrix((np.ones(sel_heads.size), (sel_heads, sel_tails)),
+                          shape=(next_id, next_id))
+        _, label = connected_components(succ, connection="strong")
+        in_cycle = np.bincount(label)[label] > 1
+        members = np.flatnonzero(in_cycle)
+        if members.size == 0:
             break
 
-        remap = np.arange(next_id + len(cycles), dtype=np.int64)
-        in_cycle = np.zeros(next_id, dtype=bool)
-        for cyc in cycles:
-            new_id = next_id
-            next_id += 1
-            enter = {m: int(arc_ids[sel_of[m]]) for m in cyc}
-            records.append((new_id, list(cyc), enter))
-            for m in cyc:
-                parent_super[m] = new_id
-                remap[m] = new_id
-                in_cycle[m] = True
-
-        dual[:in_cycle.size][in_cycle] = best_w[in_cycle]
+        _, cycle_of = np.unique(label[members], return_inverse=True)
+        parent_super[members] = next_id + cycle_of
+        created.append(next_id)
+        next_id += int(cycle_of.max()) + 1
+        remap = np.arange(next_id, dtype=np.int64)
+        remap[members] = parent_super[members]
         adjust = in_cycle[cur_h]
         adj_w[adjust] -= best_w[cur_h[adjust]]
         cur_t = remap[cur_t]
@@ -184,24 +166,26 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
         arc_ids, cur_t, cur_h, adj_w = (arc_ids[alive], cur_t[alive],
                                         cur_h[alive], adj_w[alive])
 
-    dual[sel_heads] = best_w[sel_heads]
-    enter_sel = np.full(next_id, -1, dtype=np.int64)
-    enter_sel[sel_heads] = arc_ids[sel_pos]
-    # Records run outermost first in reverse, so each supernode's dual
-    # already holds the sum over its enclosing supernodes when its members
-    # add it.
-    for new_id, members, enter in reversed(records):
-        a = int(enter_sel[new_id])
-        x = int(heads[a])
-        while parent_super[x] != new_id:
-            x = int(parent_super[x])
-        for m in members:
-            enter_sel[m] = a if m == x else enter[m]
-        dual[members] += dual[new_id]
+    # Expand the last round first, so each of its supernodes S already
+    # holds its final entering arc and, in dual, the sum of y over S and
+    # every supernode around it. That arc goes to the member of S that
+    # holds its head, found by climbing parent_super from the head once
+    # per nesting level; the other members keep their cycle arcs.
+    for lo, hi in reversed(list(zip(created, created[1:] + [next_id]))):
+        supers = np.arange(lo, hi)
+        x = heads[enter_arc[supers]]
+        while True:
+            climb = parent_super[x] != supers
+            if not climb.any():
+                break
+            x[climb] = parent_super[x[climb]]
+        enter_arc[x] = enter_arc[supers]
+        members = np.flatnonzero((parent_super >= lo) & (parent_super < hi))
+        dual[members] += dual[parent_super[members]]
 
     nodes = np.flatnonzero(reach)
     nodes = nodes[nodes != root]
-    arc_index[nodes] = enter_sel[nodes]
+    arc_index[nodes] = enter_arc[nodes]
     parent[nodes] = tails[arc_index[nodes]]
     potential[nodes] = dual[nodes]
     return parent, arc_index, potential

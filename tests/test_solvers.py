@@ -389,6 +389,19 @@ def test_cycle_contraction_potentials():
     assert np.isnan(potential[2:]).all()
 
 
+def test_nested_contraction_expands_to_the_innermost_member():
+    # Round one contracts {1, 2} into A (y = 1 each); round two contracts
+    # {A, 3} into B (y_A = y_3 = 1); the root's arc 0 -> 2 enters B at
+    # adjusted weight 10 - 1 - 1 = 8. That arc lands on node 2, two levels
+    # down, so expansion must hand it to A and then to 2, whose cycle arc
+    # 3 -> 2 is dropped.
+    parent, arc_index, potential = chu_liu_edmonds(
+        4, [1, 2, 1, 3, 0, 0], [2, 1, 3, 2, 2, 3], [1, 1, 1, 2, 10, 20], 0)
+    assert parent.tolist() == [NO_PARENT, 2, 0, 1]
+    assert arc_index.tolist() == [-1, 1, 4, 2]
+    assert potential.tolist() == [0.0, 10.0, 10.0, 9.0]
+
+
 def test_potential_certifies_the_arcs_left_out():
     # Solve on a random part of a complete digraph. Its potentials bound
     # every tree arc from above (tightly below the root), and whenever
