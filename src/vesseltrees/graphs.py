@@ -10,15 +10,16 @@ Two graph flavors are produced from a symmetric k-nearest-neighbor system:
 
 Everything here is vectorized. Both graph builders make one pass over
 cache-sized chunks of the neighbor pairs, fitted on a thread pool with one
-worker per usable CPU; the chunk results are joined in chunk order, so the
-output does not depend on the chunk size or the thread count. A confluent
-chunk computes each pair's chord and unit direction once for both arc
-directions, applies the confluence gate, and computes arc length and
-weight only for the arcs that pass it. Measured on 2 CPUs: the dense-k500
-benchmark workload (about 4.8k samples, cap K=500) peaks at about 103 MB
-RSS over its whole synth, reconstruct and evaluate run, because the
-certified neighbour count solves it from about 20k pairs, not the 1.4M of
-the fixed K=500 system.
+worker per usable CPU, or in the calling thread when there is one chunk;
+the chunk results are joined in chunk order, so the output does not
+depend on the chunk size or the thread count. A confluent chunk computes
+each pair's chord and unit direction once for both arc directions,
+applies the confluence gate, and computes arc length and weight only for
+the arcs that pass it. Measured on 2 CPUs: the dense-k500 benchmark
+workload (about 4.8k samples, cap K=500) peaks at about 103 MB RSS over
+its whole synth, reconstruct and evaluate run, because the certified
+neighbour count solves it from about 20k pairs, not the 1.4M of the fixed
+K=500 system.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
@@ -32,6 +33,9 @@ either end v. Those are the bounds against which ``pipeline`` checks the
 solver's potential P(v) to certify a tree built from small neighbourhoods
 (see ``solvers``); ``widen_neighbors`` grows only the neighbourhoods that
 fail the check.
+
+scipy's k-d tree is imported by the functions that query it, on first
+use, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     ALPHA_DEGENERATE,
@@ -62,6 +65,15 @@ from .geometry import (
 # dense-k500.
 _PAIR_CHUNK = 16_384
 _QUERY_CHUNK = 20_000
+# A k-d tree query of fewer rows than this runs on one thread: starting the
+# query threads costs more than they save. Measured on a 2-core Intel Xeon
+# over a 19k-sample tree cloud, with 1 and with 9 neighbours per row,
+# ``workers=-1`` lost up to 2000 rows (1000 rows, 1 neighbour: 1.00 ms
+# against 0.78 ms on one thread) and won from 3000 (8000 rows, 1 neighbour:
+# 3.6 ms against 5.9 ms). With 33 or more neighbours per row the threads
+# win from about 500 rows; the widenings that ask that many neighbours
+# re-query a few hundred rows at most on the benchmark workloads.
+_THREADED_QUERY_ROWS = 2_500
 
 
 def as_cloud(samples) -> SampleCloud:
@@ -157,6 +169,11 @@ def _sorted_unique(codes):
     return codes[first]
 
 
+def _query_workers(rows: int) -> int:
+    """The k-d tree's ``workers`` for a query of ``rows`` rows."""
+    return -1 if rows >= _THREADED_QUERY_ROWS else 1
+
+
 def _nearest_codes(tree, positions, rows, k, n):
     """Pair codes of each row's k nearest other samples, and each row's d_k.
 
@@ -170,7 +187,8 @@ def _nearest_codes(tree, positions, rows, k, n):
     codes, kth = [], np.empty(rows.size)
     for lo in range(0, rows.size, _QUERY_CHUNK):
         part = rows[lo:lo + _QUERY_CHUNK]
-        dist, idx = tree.query(positions[part], k=k + 1, workers=-1)
+        dist, idx = tree.query(positions[part], k=k + 1,
+                               workers=_query_workers(part.size))
         keep = idx != part[:, None]
         crowded = np.flatnonzero(keep.all(axis=1))
         if crowded.size:
@@ -212,6 +230,8 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
     every other, so the system is all pairs and takes no k-d tree query
     (see ``_all_pairs``).
     """
+    from scipy.spatial import cKDTree
+
     cloud = as_cloud(samples)
     n = len(cloud)
     if n < 2:
@@ -239,6 +259,8 @@ def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
     updated. The system's ``k`` becomes the largest size now in use if
     that exceeds it.
     """
+    from scipy.spatial import cKDTree
+
     cloud = as_cloud(samples)
     n = len(cloud)
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -276,6 +298,8 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
     no radius bounds the arcs the system drops, and it carries no
     ``node_k`` or ``kth_distance``.
     """
+    from scipy.spatial import cKDTree
+
     cloud = as_cloud(samples)
     n = len(cloud)
     if n < 2:
@@ -315,10 +339,12 @@ def _map_pair_chunks(fit, pairs):
     ``fit`` returns a tuple of 1-D arrays; each is concatenated over the
     slices in slice order. The slices run on a thread pool, which numpy's
     kernels keep busy because they release the GIL. There is always at
-    least one slice, possibly empty.
+    least one slice, possibly empty; a lone slice starts no pool.
     """
     chunks = [pairs[lo:lo + _PAIR_CHUNK]
               for lo in range(0, max(pairs.shape[0], 1), _PAIR_CHUNK)]
+    if len(chunks) == 1:
+        return fit(chunks[0])
     with ThreadPoolExecutor(min(_usable_cpus(), len(chunks))) as pool:
         parts = list(pool.map(fit, chunks))
     return tuple(np.concatenate(column) for column in zip(*parts))

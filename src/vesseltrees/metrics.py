@@ -22,6 +22,9 @@ for leaf children). Starting at the child node makes the measure exact on
 clean data even when the solver smooths a wide branching by attaching the
 branch one sample upstream. The same rule is applied to ground truth and
 reconstructions.
+
+scipy's k-d tree is imported on the first nearest-point query, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import batch_arc_points
-from .graphs import NeighborSystem, as_cloud
+from .graphs import NeighborSystem, _query_workers, as_cloud
 from .synth import GroundTruthTree
 
 DEFAULT_STEP = 0.25
@@ -118,8 +120,12 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
 
 def _nearest(gt_pts, rec_pts):
     """One nearest-point pass each way: (d_gt, d_rec, nearest GT index)."""
-    d_gt, _ = cKDTree(rec_pts).query(gt_pts, workers=-1)
-    d_rec, nearest = cKDTree(gt_pts).query(rec_pts, workers=-1)
+    from scipy.spatial import cKDTree
+
+    d_gt, _ = cKDTree(rec_pts).query(
+        gt_pts, workers=_query_workers(gt_pts.shape[0]))
+    d_rec, nearest = cKDTree(gt_pts).query(
+        rec_pts, workers=_query_workers(rec_pts.shape[0]))
     return d_gt, d_rec, nearest
 
 

@@ -17,7 +17,6 @@ import time
 import warnings
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -124,6 +123,8 @@ def _reissue(caught):
     """Issue recorded warnings again as the modules that raised them would:
     under the filters that name the module, once a location where the
     filters say so."""
+    if not caught:
+        return
     modules = {getattr(m, "__file__", None): m
                for m in list(sys.modules.values())}
     for w in caught:
@@ -226,10 +227,21 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     return tree, stats, neighbors
 
 
+def _load_scipy(jobs: int):
+    """Import the scipy modules that reconstruction and evaluation call,
+    before a pool of ``jobs`` > 1 workers forks, so that the workers
+    inherit them rather than each importing them on first use."""
+    if jobs > 1:
+        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.spatial  # noqa: F401
+
+
 def _map_items(fn, tasks, jobs: int) -> list:
     """``[fn(t) for t in tasks]``, on a pool of ``jobs`` processes if more
     than one; the results come back in task order either way."""
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             return pool.map(fn, tasks)
     return [fn(t) for t in tasks]
@@ -352,6 +364,7 @@ def reconstruct_corpus(corpus_dir, out_dir, cfg: PipelineConfig,
     manifest = vio.read_json(os.path.join(corpus_dir, "manifest.json"))
     tasks = [(corpus_dir, out_dir, asdict(cfg), item, dump_neighbors)
              for item in manifest["items"]]
+    _load_scipy(jobs)
     nested = _map_items(_reconstruct_item, tasks, jobs)
     try:
         corpus_ref = os.path.relpath(corpus_dir, out_dir)
@@ -462,6 +475,7 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
     tasks = [(corpus_dir, recon_dir, item, levels,
               {"zeta": tol.zeta, "uses_radius": tol.uses_radius}, step,
               tuple(tol_scales)) for item in manifest["items"]]
+    _load_scipy(jobs)
     nested = _map_items(_evaluate_item, tasks, jobs)
     rows = sorted((r for group in nested for r in group),
                   key=lambda r: (r["level"], r["id"]))

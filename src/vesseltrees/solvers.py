@@ -44,6 +44,9 @@ in any supergraph that keeps the edges' relative order, so the root's tree
 is the supergraph's. A left-out geodesic edge weighs at least twice the
 kNN radius at either end, so ``pipeline`` checks P(v) against that radius
 exactly as for the arborescence.
+
+Both solvers import ``scipy.sparse`` and its graph routines when first
+called, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -52,9 +55,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
 
 from .graphs import TubularGraph
 from .trees import EXCLUDED, NO_PARENT, ParentTree, reachable_mask
@@ -95,6 +95,9 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     the dual potential P(v) of the module docstring, 0 at the root and NaN
     for unreachable nodes.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
@@ -200,6 +203,9 @@ def kruskal_forest(n_nodes, us, vs, weights):
     be chosen, so the rest are dropped before the sparse matrix would sum
     them. Edges come back in rank order.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
+
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
@@ -269,6 +275,9 @@ def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
     ``potential`` is half the heaviest tree edge's weight on the root's
     component and NaN elsewhere (see the module docstring).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     if graph.mode != "geodesic":
         raise ValueError("minimum_spanning_tree expects an undirected graph")
     n = graph.n_nodes

@@ -82,18 +82,24 @@ def generate_tree(n_leaves: int, domain_size: float = 100.0, seed: int = 0,
     rng = np.random.default_rng(seed)
     size = float(domain_size)
 
-    root = rng.uniform(0, size, 3)
+    # Every split adds two nodes, so the tree ends with 2 n_leaves nodes.
+    # Only node 0, the root, has no parent: the segments are always the
+    # edges into nodes 1 .. n - 1.
+    n_nodes = 2 * n_leaves
+    positions = np.empty((n_nodes, 3))
+    radii = np.empty(n_nodes)
+    parent = np.empty(n_nodes, dtype=np.int64)
+    positions[0] = rng.uniform(0, size, 3)
     first = rng.uniform(0, size, 3)
-    while np.linalg.norm(first - root) < 0.25 * size:
+    while np.linalg.norm(first - positions[0]) < 0.25 * size:
         first = rng.uniform(0, size, 3)
-    positions = [root, first]
-    radii = [ROOT_RADIUS, ROOT_RADIUS]
-    parent = [-1, 0]
+    positions[1] = first
+    radii[:2] = ROOT_RADIUS
+    parent[:2] = (-1, 0)
 
-    for _ in range(n_leaves - 1):
-        childs = [i for i in range(len(parent)) if parent[i] >= 0]
-        seg_a = np.array([positions[parent[c]] for c in childs])
-        seg_b = np.array([positions[c] for c in childs])
+    for n in range(2, n_nodes, 2):
+        seg_a = positions[parent[1:n]]
+        seg_b = positions[1:n]
         target = host = frac = foot = None
         for _attempt in range(1000):
             cand = rng.uniform(0, size, 3)
@@ -102,7 +108,7 @@ def generate_tree(n_leaves: int, domain_size: float = 100.0, seed: int = 0,
                 continue
             if not _INTERIOR_MARGIN <= f <= 1.0 - _INTERIOR_MARGIN:
                 continue
-            target, host, frac, foot = cand, childs[idx], f, ft
+            target, host, frac, foot = cand, idx + 1, f, ft
             break
         if target is None:
             raise RuntimeError("could not place a new branch; "
@@ -118,19 +124,16 @@ def generate_tree(n_leaves: int, domain_size: float = 100.0, seed: int = 0,
             frac = float(np.linalg.norm(foot - a) / np.linalg.norm(b - a))
         split_radius = (1.0 - frac) * radii[host_parent] + frac * radii[host]
 
-        split = len(positions)
-        positions.append(foot)
-        radii.append(split_radius)
-        parent.append(host_parent)
-        parent[host] = split
+        positions[n] = foot
+        radii[n] = split_radius
+        parent[n] = host_parent
+        parent[host] = n
 
-        positions.append(target)
-        radii.append(split_radius * CHILD_RADIUS_FACTOR)
-        parent.append(split)
+        positions[n + 1] = target
+        radii[n + 1] = split_radius * CHILD_RADIUS_FACTOR
+        parent[n + 1] = n
 
-    return GroundTruthTree(positions=np.array(positions),
-                           radii=np.array(radii),
-                           parent=np.array(parent),
+    return GroundTruthTree(positions=positions, radii=radii, parent=parent,
                            domain_size=size)
 
 
@@ -184,9 +187,9 @@ def sample_centerline(tree: GroundTruthTree, cfg: SamplerConfig) -> SampleCloud:
     root_dir = tree.positions[first_child] - tree.positions[tree.root]
     root_dir = root_dir / np.linalg.norm(root_dir)
 
-    pts = [tree.positions[tree.root]]
-    tans = [root_dir]
-    radii = [tree.radii[tree.root]]
+    pts = [tree.positions[tree.root][None]]
+    tans = [root_dir[None]]
+    radii = [tree.radii[tree.root:tree.root + 1]]
     for child in tree.edge_children():
         a = int(tree.parent[child])
         vec = tree.positions[child] - tree.positions[a]
@@ -195,20 +198,18 @@ def sample_centerline(tree: GroundTruthTree, cfg: SamplerConfig) -> SampleCloud:
         # grid leaves a gap of [h/2, 3h/2) before the far node: junctions sit
         # between samples, as they do in detections where tubularity fades
         m = int(np.floor(length / cfg.spacing - 0.5))
-        offsets = cfg.spacing * np.arange(1, m + 1) if m >= 1 else []
-        for s in offsets:
-            f = s / length
-            pts.append(tree.positions[a] + s * direction)
-            tans.append(direction)
-            radii.append((1 - f) * tree.radii[a] + f * tree.radii[child])
+        s = cfg.spacing * np.arange(1, m + 1)    # empty if m < 1
+        f = s / length
+        pts.append(tree.positions[a] + s[:, None] * direction)
+        radii.append((1 - f) * tree.radii[a] + f * tree.radii[child])
         if is_leaf[child]:  # leaf tips are always detected
-            pts.append(tree.positions[child])
-            tans.append(direction)
-            radii.append(tree.radii[child])
+            pts.append(tree.positions[child][None])
+            radii.append(tree.radii[child:child + 1])
+        tans.append(np.broadcast_to(direction, (s.size + is_leaf[child], 3)))
 
-    pos = np.array(pts)
-    tan = np.array(tans)
-    rad = np.array(radii)
+    pos = np.concatenate(pts)
+    tan = np.concatenate(tans)
+    rad = np.concatenate(radii)
     n = pos.shape[0]
 
     rng = np.random.default_rng(cfg.seed)

@@ -5,6 +5,8 @@ each node, ``NO_PARENT`` at the root and ``EXCLUDED`` for ids outside the
 tree. Edge ``parent[c] -> c`` is named by its child c; edges are listed in
 ascending child order. Children, branching nodes, edge lengths and
 ancestry are derived from ``parent`` when asked for, so none goes stale.
+``reachable_mask``, which ``ParentTree.validate`` calls, imports
+``scipy.sparse`` on first use, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 NO_PARENT = -1   # tree root
 EXCLUDED = -2    # node not part of the tree
@@ -162,6 +162,9 @@ class ParentTree:
 
 def reachable_mask(n, tails, heads, root) -> np.ndarray:
     """Nodes reachable from ``root`` along the arcs ``tails -> heads``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     mask = np.zeros(n, dtype=bool)
     mask[root] = True
     m = csr_matrix((np.ones(tails.size, dtype=np.float32), (tails, heads)),

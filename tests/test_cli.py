@@ -264,3 +264,56 @@ def test_python_m_vesseltrees_runs_the_cli():
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: vesseltrees")
+
+
+# Run in a fresh interpreter, with every warning an error: the commands that
+# need no scipy must not load it, and reconstruct must still import it on
+# first use, inside its warning-recording block, without a warning.
+NO_SCIPY_SCRIPT = """
+import os, sys
+import vesseltrees
+from vesseltrees.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+try:
+    main(["--help"])
+except SystemExit as exit:
+    assert exit.code == 0
+assert main(["synth", "--out", os.path.join(out, "corpus"), "--n-trees", "2",
+             "--n-leaves", "4", "--seed", "0", "--domain-size", "60",
+             "--tangent-noise", "0.1", "--dropout", "0.1"]) == 0
+header = ("level,threshold,n_trees,mean_centerline_recall,"
+          "mean_centerline_fallout\\n")
+for name, recall in (("a", 0.5), ("b", 0.75)):
+    os.makedirs(os.path.join(out, name))
+    with open(os.path.join(out, name, "aggregate.csv"), "w") as fh:
+        fh.write(header + f"0,0.0,2,{recall},0.1\\n")
+assert main(["compare", "--eval-a", os.path.join(out, "a"), "--eval-b",
+             os.path.join(out, "b"), "--out",
+             os.path.join(out, "compare.csv")]) == 0
+assert not scipy_modules(), scipy_modules()
+for step in (["reconstruct", "--corpus", os.path.join(out, "corpus"),
+              "--out", os.path.join(out, "run"), "--k", "8"],
+             ["evaluate", "--corpus", os.path.join(out, "corpus"), "--recon",
+              os.path.join(out, "run"), "--out", os.path.join(out, "eval")]):
+    assert main(step) == 0
+assert "scipy.spatial" in scipy_modules()
+"""
+
+
+def test_synth_and_compare_never_import_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        vesseltrees.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", NO_SCIPY_SCRIPT,
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert result.returncode == 0, result.stderr
+    _, rows = read_csv(tmp_path / "compare.csv")
+    assert [r[1] for r in rows] == ["mean_centerline_recall",
+                                    "mean_centerline_fallout"]
+    assert (tmp_path / "eval" / "aggregate.csv").exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from vesseltrees import graphs
@@ -74,12 +75,18 @@ def brute_force_anisotropic_pairs(positions, tangents, k_final, k_candidate,
 class _TieScramblingTree:
     """Exact stand-in for ``cKDTree``: returns the k nearest by (distance,
     index), but lists equal distances highest index first. scipy leaves
-    that order unspecified, so the tie-break must not depend on it."""
+    that order unspecified, so the tie-break must not depend on it.
+    ``graphs`` imports ``cKDTree`` from ``scipy.spatial`` when it builds
+    one, so patching it there takes effect; ``queries`` counts the calls
+    to show that it did."""
+
+    queries = 0
 
     def __init__(self, positions):
         self.positions = np.asarray(positions, dtype=float)
 
     def query(self, points, k, workers=1):
+        type(self).queries += 1
         dist, idx = [], []
         for p in points:
             d = np.linalg.norm(self.positions - p, axis=1)
@@ -106,7 +113,8 @@ def crowded_lattice_cloud(rng, g, crowd):
 def test_knn_tie_break_matches_brute_force_on_lattices(monkeypatch):
     # At least k + 2 coincident samples crowd some of them out of their
     # own query result; those rows keep the k smallest (distance, index).
-    monkeypatch.setattr(graphs, "cKDTree", _TieScramblingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _TieScramblingTree)
+    monkeypatch.setattr(_TieScramblingTree, "queries", 0)
     rng = np.random.default_rng(12)
     for _ in range(30):
         g = int(rng.integers(2, 5))
@@ -125,6 +133,7 @@ def test_knn_tie_break_matches_brute_force_on_lattices(monkeypatch):
             pairs = system.pairs
             assert np.all(pairs[:, 0] < pairs[:, 1])
             assert np.all(np.diff(pairs[:, 0] * len(cloud) + pairs[:, 1]) > 0)
+    assert _TieScramblingTree.queries == 60   # one per system built
 
 
 def test_crowded_samples_pair_among_themselves():
@@ -194,7 +203,10 @@ def test_all_pairs_system_is_the_kd_tree_system(monkeypatch):
         n = len(cloud)
         pairs, kth = kd_tree_system(cloud, n - 1)
         with monkeypatch.context() as patch:
-            patch.setattr(graphs, "cKDTree", _NoQueryTree)
+            patch.setattr(scipy.spatial, "cKDTree", _NoQueryTree)
+            if n > 2:   # the stub is in place: a smaller k does query
+                with pytest.raises(AssertionError, match="no k-d tree"):
+                    knn_neighbors(cloud, n - 2)
             for chunk in (1, 97, graphs._PAIR_CHUNK):   # rows per pass vary
                 patch.setattr(graphs, "_PAIR_CHUNK", chunk)
                 system = knn_neighbors(cloud, n - 1)
@@ -274,7 +286,8 @@ def test_anisotropic_tie_at_the_k_final_boundary(monkeypatch):
     # the lowest indices, whatever order the k-d tree lists them in.
     # Samples 3 and 4 flow along y, with three samples each close by on
     # their own axis, so they do not pick node 0 themselves.
-    monkeypatch.setattr(graphs, "cKDTree", _TieScramblingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _TieScramblingTree)
+    monkeypatch.setattr(_TieScramblingTree, "queries", 0)
     pos = [[0, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
            [1, 0, 0]]
     pos += [[0, dy, z] for z in (1, -1) for dy in (0.2, -0.2, 0.4)]
@@ -288,6 +301,7 @@ def test_anisotropic_tie_at_the_k_final_boundary(monkeypatch):
         {(0, 1), (0, 2), (0, 5)}
     assert pairs_set(system) == brute_force_anisotropic_pairs(
         pos, tan, 3, 5, 10.0)
+    assert _TieScramblingTree.queries == 1
 
 
 def test_anisotropic_prefers_on_axis_neighbors():
