@@ -16,6 +16,7 @@ import json
 import math
 import sys
 
+from .io import read_json
 from .metrics import DEFAULT_STEP, DEFAULT_ZETA, MatchTolerance
 from .pipeline import (
     DEFAULT_TOL_SCALES,
@@ -208,6 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, value):
+    """A JSON config value, checked as its flag would be: null keeps the
+    flag's default; a store-true flag takes a bool; any other value goes,
+    as the text of the flag (a list joined with commas for the
+    comma-separated flags), through the flag's ``type`` and ``choices``."""
+    if value is None:
+        return action.default
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    comma_list = isinstance(value, list) and action.type in (_floats, _coords)
+    text = ",".join(map(str, value)) if comma_list else str(value)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {', '.join(action.choices)}")
+    return value
+
+
 def _apply_config_file(parser, argv):
     """Load --config JSON as subcommand defaults; explicit flags win."""
     pre = argparse.ArgumentParser(add_help=False)
@@ -215,8 +235,7 @@ def _apply_config_file(parser, argv):
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
         return
-    with open(known.config) as fh:
-        values = json.load(fh)
+    values = read_json(known.config)
     if not isinstance(values, dict):
         raise ValueError(f"{known.config}: config must be a JSON object")
     command = next((tok for tok in argv if not tok.startswith("-")
@@ -226,14 +245,18 @@ def _apply_config_file(parser, argv):
     subparser = sub_actions[0].choices.get(command) if sub_actions else None
     if subparser is None:
         raise ValueError(f"config given but subcommand {command!r} unknown")
-    valid = {a.dest for a in subparser._actions}
+    actions = {a.dest: a for a in subparser._actions}
     defaults = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        if dest not in actions:
             raise ValueError(f"{known.config}: unknown option {key!r} for "
                              f"'{command}'")
-        defaults[dest] = tuple(value) if dest == "root_at" and value else value
+        try:
+            defaults[dest] = _config_value(actions[dest], value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{known.config}: bad value {json.dumps(value)} "
+                             f"for {key!r}: {exc}") from None
     subparser.set_defaults(**defaults)
 
 

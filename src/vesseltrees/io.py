@@ -263,53 +263,42 @@ def read_tree(path, cloud: SampleCloud | None = None):
     A tree that fails ``validate()`` raises ValueError naming the file.
     """
     root, domain_size, ids, vals = _parse_tree_rows(path)
-    nodes, parents = ids[:, 0], ids[:, 1]
+    nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
     if gt:
         n = nodes.size
         if not np.array_equal(np.sort(nodes), np.arange(n)):
             raise ValueError(f"{path}: ground-truth node ids must be "
                              "contiguous from 0")
-        positions = np.zeros((n, 3))
-        radii = np.zeros(n)
-        parent = np.zeros(n, dtype=np.int64)
-        positions[nodes] = vals[:, 0:3]
-        radii[nodes] = vals[:, 3]
-        parent[nodes] = parents
-        tree = GroundTruthTree(positions=positions, radii=radii,
-                               parent=parent,
-                               domain_size=domain_size or 0.0)
     else:
         if nodes.min() < 0:
             raise ValueError(f"{path}: node ids must be >= 0")
         if np.unique(nodes).size != nodes.size:
             raise ValueError(f"{path}: node ids must be distinct")
-        n = int(nodes.max()) + 1
-        if cloud is not None:
-            if len(cloud) < n:
-                raise ValueError(f"{path}: tree references node {n - 1} but "
-                                 f"the cloud has {len(cloud)} samples")
-            n = len(cloud)
-        parent = np.full(n, EXCLUDED, dtype=np.int64)
-        positions = np.full((n, 3), np.nan)
-        edge_alpha = np.full(n, np.nan)
-        edge_length = np.full(n, np.nan)
-        edge_weight = np.full(n, np.nan)
-        parent[nodes] = parents
-        positions[nodes] = vals[:, 0:3]
-        edge_alpha[nodes] = vals[:, 3]
-        edge_length[nodes] = vals[:, 4]
-        edge_weight[nodes] = vals[:, 5]
-        total = float(np.sum(edge_weight[parent >= 0]))
-        tree = VesselTree(root=root, parent=parent, positions=positions,
-                          edge_weight=edge_weight, edge_alpha=edge_alpha,
-                          edge_length=edge_length, total_weight=total)
+        n = int(nodes.max()) + 1 if cloud is None else len(cloud)
+        if nodes.max() >= n:
+            raise ValueError(f"{path}: tree references node {nodes.max()} "
+                             f"but the cloud has {n} samples")
+    parent = np.full(n, EXCLUDED, dtype=np.int64)
+    table = np.full((n, vals.shape[1]), np.nan)
+    parent[nodes] = ids[:, 1]
+    table[nodes] = vals
+    if gt:
+        tree = GroundTruthTree(positions=table[:, :3], radii=table[:, 3],
+                               parent=parent, domain_size=domain_size or 0.0)
+    else:
+        alpha, length, weight = table[:, 3:].T
+        tree = VesselTree(root=root, parent=parent, positions=table[:, :3],
+                          edge_weight=weight, edge_alpha=alpha,
+                          edge_length=length,
+                          total_weight=float(np.sum(weight[parent >= 0])))
     try:
         tree.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if cloud is not None and not gt:   # arcs start at the parent sample
-        positions[parent == EXCLUDED] = cloud.positions[parent == EXCLUDED]
+        excluded = parent == EXCLUDED
+        tree.positions[excluded] = cloud.positions[excluded]
         has_edge = parent >= 0
         tree.edge_start_tangent = np.full((n, 3), np.nan)
         tree.edge_start_tangent[has_edge] = cloud.tangents[parent[has_edge]]
@@ -322,8 +311,12 @@ def write_json(path, payload: dict):
 
 
 def read_json(path) -> dict:
+    """Load a JSON file; malformed JSON raises ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(path, header, rows):
@@ -368,7 +361,10 @@ def read_neighbor_pairs(path, cloud: SampleCloud | None = None):
     a file in another order is sorted to look for repeats.
     """
     # a file with no data rows is a valid empty system
-    pairs = _loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
+    try:
+        pairs = _loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.shape[1] != 2:

@@ -15,8 +15,8 @@ import os
 import sys
 import time
 import warnings
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -46,6 +46,15 @@ SWEEP_PARAMS = {
     "flip": "orientation_flip_prob",
 }
 DEFAULT_TOL_SCALES = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
+# Each ROC kind is one roc_sweep per tree and one roc_<kind>.csv.
+ROC_KINDS = ("centerline", "bifurcation")
+# The per-tree rates, in per_tree.csv order; _evaluate_item fills each from
+# its row's values (<kind>_recall and <kind>_fallout are the kind's ROC
+# point at tolerance scale 1.0), and aggregate.csv reports its level mean,
+# ignoring NaN, as mean_<rate>. Only bifurcation recall can be NaN: a GT
+# tree without bifurcations has none to recall.
+RATES = ("centerline_recall", "centerline_fallout", "bifurcation_recall",
+         "bifurcation_fallout")
 
 # Neighbourhood size every node starts from in certified isotropic modes
 # (see reconstruct_cloud).
@@ -57,7 +66,7 @@ CERTIFY_RTOL = 1e-9
 
 @dataclass
 class PipelineConfig:
-    """Reconstruction and evaluation knobs."""
+    """Reconstruction knobs: the neighbourhood, the graph and the root."""
 
     mode: str = "confluent"            # confluent | geodesic
     # Isotropic kNN size: the cap on each node's neighbourhood, grown from
@@ -400,40 +409,35 @@ def _evaluate_item(args):
     rows = []
     for cloud_entry in item["clouds"]:
         level = cloud_entry["level"]
-        threshold = levels[level]["threshold"]
         cloud = vio.read_point_cloud(
             os.path.join(corpus_dir, cloud_entry["path"]))
         name = recon_name(item["id"], level)
-        recon_path = os.path.join(recon_dir, "trees", name + ".txt")
-        recon = vio.read_tree(recon_path, cloud=cloud)
-        # One sweep per kind also gives the per-tree point at scale 1.0
-        # (tol.scaled(1.0) is tol); roc_sweep sorts stably, so the appended
-        # 1.0 lands after every requested scale <= 1.0 and comes out again.
-        curves, at_one = {}, {}
-        for kind in ("centerline", "bifurcation"):
-            curves[kind] = roc_sweep(gt, recon, [*scales, 1.0], kind=kind,
-                                     tol=tol, step=step)
-            at_one[kind] = curves[kind].pop(bisect_right(sorted(scales), 1.0))
+        recon = vio.read_tree(os.path.join(recon_dir, "trees", name + ".txt"),
+                              cloud=cloud)
+        # One sweep per kind gives the curve and, at scale 1.0
+        # (tol.scaled(1.0) is tol), the kind's per-tree rates.
+        curves, rates = {}, {}
+        for kind in ROC_KINDS:
+            at = {p.threshold: p for p in roc_sweep(
+                gt, recon, {*scales, 1.0}, kind=kind, tol=tol, step=step)}
+            curves[kind] = [at[s] for s in sorted(scales)]
+            rates[f"{kind}_recall"] = at[1.0].recall
+            rates[f"{kind}_fallout"] = at[1.0].fallout
         # a GT tree without bifurcations has no angles to score
         errors = angular_errors(gt, recon) if gt.branching_nodes().size else []
-        med = _median(errors)
         connectivity = None
         nbr_path = os.path.join(recon_dir, "neighbors", name + ".csv")
         if os.path.exists(nbr_path):
             system = vio.read_neighbor_pairs(nbr_path, cloud=cloud)
             connectivity = connectivity_roc(gt, system, cloud)
         rows.append({
-            "id": item["id"], "level": level, "threshold": threshold,
-            "n_samples": len(cloud),
+            "id": item["id"], "level": level,
+            "threshold": levels[level]["threshold"], "n_samples": len(cloud),
             "n_tree_nodes": int(recon.n_nodes),
             "n_excluded": int(recon.excluded.size),
-            "centerline_recall": at_one["centerline"].recall,
-            "centerline_fallout": at_one["centerline"].fallout,
-            "bifurcation_recall": at_one["bifurcation"].recall,
-            "bifurcation_fallout": at_one["bifurcation"].fallout,
-            "median_angular_error_rad": med,
-            "angular_errors": errors,
-            "curves": curves,
+            **{rate: rates[rate] for rate in RATES},
+            "median_angular_error_rad": _median(errors),
+            "angular_errors": errors, "curves": curves,
             "connectivity": connectivity,
         })
     return rows
@@ -447,8 +451,7 @@ def _median(values) -> float:
 def _nanmean(values) -> float:
     """Mean of the non-NaN values, or NaN if there are none, quietly."""
     values = np.asarray(values, dtype=float)
-    return float(np.nanmean(values)) if np.any(~np.isnan(values)) \
-        else math.nan
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) else math.nan
 
 
 def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
@@ -480,71 +483,48 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
     rows = sorted((r for group in nested for r in group),
                   key=lambda r: (r["level"], r["id"]))
 
-    per_tree_header = [
-        "tree_id", "level", "threshold", "n_samples", "n_tree_nodes",
-        "n_excluded", "centerline_recall", "centerline_fallout",
-        "bifurcation_recall", "bifurcation_fallout",
-        "median_angular_error_rad", "median_angular_error_deg",
-    ]
-    per_tree_rows = [
-        (r["id"], r["level"], float(r["threshold"]), r["n_samples"],
-         r["n_tree_nodes"], r["n_excluded"], float(r["centerline_recall"]),
-         float(r["centerline_fallout"]), float(r["bifurcation_recall"]),
-         float(r["bifurcation_fallout"]),
-         float(r["median_angular_error_rad"]),
-         float(math.degrees(r["median_angular_error_rad"])))
-        for r in rows
-    ]
-    vio.write_csv(os.path.join(out_dir, "per_tree.csv"), per_tree_header,
-                  per_tree_rows)
-
-    agg_header = [
-        "level", "threshold", "n_trees", "mean_centerline_recall",
-        "mean_centerline_fallout", "mean_bifurcation_recall",
-        "mean_bifurcation_fallout", "pooled_median_angular_error_rad",
-        "pooled_median_angular_error_deg",
-    ]
-    agg_rows = []
-    roc_rows = {"centerline": [], "bifurcation": []}
-    conn_rows = []
-    for level in sorted(levels):
-        group = [r for r in rows if r["level"] == level]
-        if not group:
-            continue
-        pooled = [e for r in group for e in r["angular_errors"]]
-        med = _median(pooled)
-        agg_rows.append((
-            level, float(levels[level]["threshold"]), len(group),
-            float(np.mean([r["centerline_recall"] for r in group])),
-            float(np.mean([r["centerline_fallout"] for r in group])),
-            _nanmean([r["bifurcation_recall"] for r in group]),
-            float(np.mean([r["bifurcation_fallout"] for r in group])),
-            med, float(math.degrees(med))))
-        for kind in ("centerline", "bifurcation"):
+    per_tree, aggregate, conn = [], [], []
+    roc = {kind: [] for kind in ROC_KINDS}
+    for level, group in groupby(rows, key=lambda r: r["level"]):
+        group = list(group)
+        threshold = float(levels[level]["threshold"])
+        for r in group:
+            med = float(r["median_angular_error_rad"])
+            per_tree.append((r["id"], level, threshold, r["n_samples"],
+                             r["n_tree_nodes"], r["n_excluded"],
+                             *(float(r[rate]) for rate in RATES),
+                             med, math.degrees(med)))
+            if r["connectivity"] is not None:
+                conn.append((r["id"], level, threshold,
+                             *map(float, r["connectivity"])))
+        med = _median([e for r in group for e in r["angular_errors"]])
+        aggregate.append((level, threshold, len(group),
+                          *(_nanmean([r[rate] for r in group])
+                            for rate in RATES), med, math.degrees(med)))
+        for kind in ROC_KINDS:
             for i, scale in enumerate(sorted(tol_scales)):
-                recalls = [r["curves"][kind][i].recall for r in group]
-                fallouts = [r["curves"][kind][i].fallout for r in group]
-                roc_rows[kind].append(
-                    (level, float(levels[level]["threshold"]), float(scale),
-                     _nanmean(recalls), float(np.mean(fallouts))))
-        with_conn = [r for r in group if r["connectivity"] is not None]
-        for r in with_conn:
-            conn_rows.append((r["id"], level,
-                              float(levels[level]["threshold"]),
-                              float(r["connectivity"][0]),
-                              float(r["connectivity"][1])))
-    vio.write_csv(os.path.join(out_dir, "aggregate.csv"), agg_header,
-                  agg_rows)
-    roc_header = ["level", "threshold", "tolerance_scale", "recall",
-                  "fallout"]
-    vio.write_csv(os.path.join(out_dir, "roc_centerline.csv"), roc_header,
-                  roc_rows["centerline"])
-    vio.write_csv(os.path.join(out_dir, "roc_bifurcation.csv"), roc_header,
-                  roc_rows["bifurcation"])
-    if conn_rows:
-        vio.write_csv(os.path.join(out_dir, "connectivity.csv"),
-                      ["tree_id", "level", "threshold", "recall", "fallout"],
-                      conn_rows)
+                points = [r["curves"][kind][i] for r in group]
+                roc[kind].append((level, threshold, float(scale),
+                                  _nanmean([p.recall for p in points]),
+                                  _nanmean([p.fallout for p in points])))
+
+    tables = [
+        ("per_tree", ["tree_id", "level", "threshold", "n_samples",
+                      "n_tree_nodes", "n_excluded", *RATES,
+                      "median_angular_error_rad", "median_angular_error_deg"],
+         per_tree),
+        ("aggregate", ["level", "threshold", "n_trees",
+                       *(f"mean_{rate}" for rate in RATES),
+                       "pooled_median_angular_error_rad",
+                       "pooled_median_angular_error_deg"], aggregate),
+        *((f"roc_{kind}", ["level", "threshold", "tolerance_scale", "recall",
+                           "fallout"], roc[kind]) for kind in ROC_KINDS),
+        ("connectivity", ["tree_id", "level", "threshold", "recall",
+                          "fallout"], conn),
+    ]
+    for name, header, table in tables:
+        if table or name != "connectivity":   # that one needs neighbour dumps
+            vio.write_csv(os.path.join(out_dir, name + ".csv"), header, table)
     return rows
 
 

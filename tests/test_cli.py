@@ -227,6 +227,45 @@ def test_error_exits_are_nonzero(tmp_path, capsys):
                 str(tmp_path / "c2")]) == 1
 
 
+@pytest.mark.parametrize("values", [
+    {"k": True}, {"k": [3]}, {"jobs": 2.5}, {"k": 1.5}, {"root_at": [1, 2]},
+], ids=["k-bool", "k-list", "jobs-float", "k-float", "root_at-pair"])
+def test_config_values_get_the_checks_of_their_flags(tmp_path, capsys,
+                                                     values):
+    # Each value would run as a wrong flag or end in a traceback if it
+    # skipped its flag's type; instead the run stops with one line naming
+    # the file and the key.
+    corpus = tmp_path / "corpus"
+    small_synth(corpus)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    capsys.readouterr()
+    assert run(["--config", str(cfg_path), "reconstruct", "--corpus",
+                str(corpus), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: ")
+    assert repr(next(iter(values))) in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_lists_nulls_and_choices(tmp_path):
+    # a list is the text of a comma-separated flag, null keeps the flag's
+    # default and a choice outside the flag's choices is refused
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_trees": 1, "sweep-param": "dropout",
+                                    "sweep_values": [0, 0.1]}))
+    assert run(["--config", str(cfg_path), "synth", "--out",
+                str(tmp_path / "corpus"), "--n-leaves", "3"]) == 0
+    manifest = read_json(tmp_path / "corpus" / "manifest.json")
+    assert [lv["threshold"] for lv in manifest["levels"]] == [0.0, 0.1]
+    cfg_path.write_text(json.dumps({"sweep_param": None, "n-trees": 1}))
+    assert run(["--config", str(cfg_path), "synth", "--out",
+                str(tmp_path / "c1")]) == 0   # null keeps the default
+    cfg_path.write_text(json.dumps({"sweep_param": "nonsense"}))
+    assert run(["--config", str(cfg_path), "synth", "--out",
+                str(tmp_path / "c2")]) == 1
+
+
 def test_unresolvable_root_errors(tmp_path):
     corpus = tmp_path / "corpus"
     small_synth(corpus)

@@ -162,6 +162,12 @@ def test_tree_file_errors(tmp_path):
     path.write_text("root 0\n")
     with pytest.raises(ValueError, match="no nodes"):
         read_tree(path)
+    path.write_text("root 0\n0 -1 0 0 0 nan nan nan\n5 0 1 0 0 0 1 1\n")
+    cloud = SampleCloud(np.arange(9.0).reshape(3, 3),
+                        np.tile([1.0, 0.0, 0.0], (3, 1)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: tree references node 5 but the cloud has 3 samples")):
+        read_tree(path, cloud=cloud)
 
 
 def test_csv_round_trip(tmp_path):
@@ -383,3 +389,14 @@ def test_neighbor_pairs_must_not_repeat(tmp_path):
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             read_neighbor_pairs(path)
         assert "is listed more than once" in str(err.value)
+
+
+def test_read_errors_name_the_file(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("u,v\n0,1.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        read_neighbor_pairs(path)
+    path = tmp_path / "manifest.json"
+    path.write_text('{"items": [1,}')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        vio.read_json(path)

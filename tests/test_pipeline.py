@@ -183,3 +183,59 @@ def test_evaluate_corpus_per_tree_point_and_curve_alignment(tmp_path, scales):
                 single(gt, recon, tol.scaled(scale), 0.4)
         _, roc = read_csv(out / f"roc_{kind}.csv")
         assert [float(r[2]) for r in roc] == sorted(scales)
+
+
+def test_report_tables_are_nan_ignoring_means_of_the_per_tree_rows(tmp_path):
+    # Two levels, one GT tree without bifurcations, and scales with a
+    # duplicate and no 1.0: every aggregate.csv and roc_*.csv cell is the
+    # NaN-ignoring mean of that level's per_tree.csv values or curve
+    # points, and connectivity.csv lists its trees in (level, id) order.
+    corpus, run, out = tmp_path / "corpus", tmp_path / "run", tmp_path / "ev"
+    manifest = synth_corpus(corpus, n_trees=2, n_leaves=4, domain_size=50.0,
+                            seed=3, sweep_param="position-noise",
+                            sweep_values=[0.0, 0.3])
+    reconstruct_corpus(corpus, run, PipelineConfig(k=40),
+                       dump_neighbors=True)
+    path_item = manifest["items"][1]
+    write_path_tree(corpus / path_item["tree"], path_item["root_position"])
+    scales = (2.0, 0.5, 2.0)
+    rows = evaluate_corpus(corpus, run, out, tol_scales=scales)
+    order = [(r["level"], r["id"]) for r in rows]
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    header, per_tree = read_csv(out / "per_tree.csv")
+    per_tree = np.array(per_tree, dtype=float)
+    assert list(map(tuple, per_tree[:, [1, 0]].tolist())) == order
+    assert np.isnan(per_tree[:, header.index("bifurcation_recall")]).sum() \
+        == 2
+    agg_header, agg = read_csv(out / "aggregate.csv")
+    assert [int(a[0]) for a in agg] == [0, 1]
+    for cells in agg:
+        level = int(cells[0])
+        mine = per_tree[per_tree[:, 1] == level]
+        assert float(cells[1]) == mine[0, 2] and int(cells[2]) == len(mine)
+        for name, cell in zip(agg_header[3:-2], cells[3:-2]):
+            column = mine[:, header.index(name.removeprefix("mean_"))]
+            assert float(cell) == np.nanmean(column)
+        pooled = np.median([e for r in rows if r["level"] == level
+                            for e in r["angular_errors"]])
+        assert float(cells[-2]) == pooled
+        assert float(cells[-1]) == math.degrees(pooled)
+
+    for kind in ("centerline", "bifurcation"):
+        expected = []
+        for level in (0, 1):
+            group = [r for r in rows if r["level"] == level]
+            for i, scale in enumerate(sorted(scales)):
+                points = [r["curves"][kind][i] for r in group]
+                expected.append([level, group[0]["threshold"], scale,
+                                 np.nanmean([p.recall for p in points]),
+                                 np.nanmean([p.fallout for p in points])])
+        _, roc = read_csv(out / f"roc_{kind}.csv")
+        assert np.array_equal(np.array(roc, dtype=float), expected,
+                              equal_nan=True)
+
+    _, conn = read_csv(out / "connectivity.csv")
+    assert [(int(c[1]), int(c[0])) for c in conn] == order
+    assert [(float(c[3]), float(c[4])) for c in conn] == \
+        [r["connectivity"] for r in rows]
