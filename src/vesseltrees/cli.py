@@ -36,6 +36,24 @@ def _floats(text: str):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _jobs(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a whole number of processes >= 1, got {text!r}")
+
+
+def _scales(text: str):
+    vals = _floats(text)
+    if not vals or not all(0.0 < v < math.inf for v in vals):
+        raise argparse.ArgumentTypeError(
+            f"expected positive finite scales, got {text!r}")
+    return vals
+
+
 def _coords(text: str):
     vals = _floats(text)
     if len(vals) != 3:
@@ -102,7 +120,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"reconstructed {len(results)} clouds under {args.out} "
               f"({excluded} samples excluded in total)")
     else:
-        stats = reconstruct_single(args.cloud, args.out, cfg)
+        stats = reconstruct_single(args.cloud, args.out, cfg,
+                                   dump_neighbors=args.dump_neighbors)
         print(f"wrote {args.out}: {stats['n_tree_nodes']} nodes, "
               f"{stats['n_excluded']} excluded, "
               f"total weight {stats['total_weight']:.6g}")
@@ -161,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--sweep-values", type=_floats, default=None,
                    metavar="V1,V2,...")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("reconstruct", help="point cloud(s) -> tree file(s)")
@@ -172,9 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (corpus) or tree file (single)")
     _add_recon_flags(p)
     p.add_argument("--dump-neighbors", action="store_true",
-                   help="also write neighbor-pair CSVs (for connectivity "
-                        "evaluation)")
-    p.add_argument("--jobs", type=int, default=1)
+                   help="also write, as a pair CSV, the neighbour system "
+                        "each tree was solved from (for connectivity "
+                        "evaluation); graph-dump --what neighbors writes "
+                        "the fixed-k system instead")
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("evaluate", help="corpus + reconstruction run -> CSVs")
@@ -186,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=DEFAULT_ZETA)
     p.add_argument("--no-radius", action="store_true",
                    help="use plain zeta instead of max(radius, zeta)")
-    p.add_argument("--tol-scales", type=_floats,
+    p.add_argument("--tol-scales", type=_scales,
                    default=list(DEFAULT_TOL_SCALES), metavar="S1,S2,...")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("graph-dump",
@@ -220,7 +241,8 @@ def _config_value(action, value):
         if not isinstance(value, bool):
             raise ValueError("expected true or false")
         return value
-    comma_list = isinstance(value, list) and action.type in (_floats, _coords)
+    comma_list = isinstance(value, list) and action.type in (_floats, _scales,
+                                                             _coords)
     text = ",".join(map(str, value)) if comma_list else str(value)
     value = text if action.type is None else action.type(text)
     if action.choices is not None and value not in action.choices:

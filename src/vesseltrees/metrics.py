@@ -14,6 +14,9 @@ follow ancestor/descendant lines of the ground-truth tree, in array passes
 over all pairs: ancestry is a comparison of preorder entry/exit times, the
 whole edges between a pair's ends are counted by a +1/-1 difference array
 summed over subtrees, and the spans on each edge are merged by one sort.
+The system ``reconstruct --dump-neighbors`` writes is the one each tree was
+solved from, which each mode grows for its own tree, so the score depends
+on the mode as well as on the cloud and the cap k.
 
 Bifurcation angles are measured between the two child branch directions.
 Each direction is the unit chord of the first voxel of the child branch's

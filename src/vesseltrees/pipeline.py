@@ -59,7 +59,7 @@ RATES = ("centerline_recall", "centerline_fallout", "bifurcation_recall",
 # Neighbourhood size every node starts from in certified isotropic modes
 # (see reconstruct_cloud).
 CERTIFY_K0 = 8
-# Relative slack of the certificate test P(v) <= d_K(v), far above the
+# Relative slack of the certificate test P(v) <= r(v), far above the
 # rounding error of either side.
 CERTIFY_RTOL = 1e-9
 
@@ -70,8 +70,9 @@ class PipelineConfig:
 
     mode: str = "confluent"            # confluent | geodesic
     # Isotropic kNN size: the cap on each node's neighbourhood, grown from
-    # CERTIFY_K0 until the tree is certified, in confluent and geodesic
-    # mode alike; the anisotropic candidate count otherwise.
+    # CERTIFY_K0 until the tree is proven the fixed-cap graph's tree, in
+    # confluent and geodesic mode alike; the anisotropic candidate count
+    # otherwise.
     k: int = 500
     anisotropic: bool = False
     k_final: int = 4
@@ -111,21 +112,102 @@ def build_neighbors(cloud, cfg: PipelineConfig):
     return knn_neighbors(cloud, k=min(cfg.k, len(cloud) - 1))
 
 
-def _uncertified(tree, neighbors) -> np.ndarray:
+def _uncertified(tree, neighbors, radius=None) -> np.ndarray:
     """Mask of the nodes whose certificate fails.
 
-    A reached node passes when its potential P(v) is at most its kNN radius
-    d_K(v): then no arc the graph left out can enter it more cheaply, and
-    no edge left out at it is as light as a spanning-tree edge. An
-    unreached node passes only if it selected every other sample, so
-    nothing at it was left out.
+    A reached node passes when its potential P(v) is at most ``radius``,
+    by default its kNN radius d_K(v): then no arc the graph left out can
+    enter it more cheaply, and no edge left out at it is as light as a
+    spanning-tree edge. An unreached node passes only if nothing at it was
+    left out: it selected every other sample, or its radius is infinite.
     """
     n = tree.parent.size
-    unreached = (tree.parent == EXCLUDED) & (neighbors.node_k < n - 1)
+    if radius is None:
+        radius = neighbors.kth_distance
+    unreached = ((tree.parent == EXCLUDED) & (neighbors.node_k < n - 1)
+                 & np.isfinite(radius))
     with np.errstate(invalid="ignore"):     # NaN potential where unreached
-        too_dear = tree.potential > neighbors.kth_distance * (1.0
-                                                              - CERTIFY_RTOL)
+        too_dear = tree.potential > radius * (1.0 - CERTIFY_RTOL)
     return unreached | too_dear
+
+
+def _complete_radius(cloud, neighbors, cap) -> np.ndarray:
+    """Each node's complete radius r(v): every pair of the fixed-cap system
+    that ``neighbors`` leaves out at v is at least r(v) long.
+
+    Below the cap r(v) is d_K(v), since v selected every sample closer. A
+    node at the cap holds its whole cap neighbourhood, so a cap pair left
+    out at it is one that its other end selects at the cap and has not yet:
+    that end is below the cap. So at the cap r(v) is the larger of d_cap(v)
+    and the distance to the nearest sample below the cap, and infinite if
+    there is none or if the cap is every other sample.
+    """
+    from scipy.spatial import cKDTree
+
+    radius = neighbors.kth_distance.copy()
+    at_cap = neighbors.node_k == cap
+    below = np.flatnonzero(~at_cap)
+    if cap == len(cloud) - 1 or below.size == 0:
+        radius[at_cap] = np.inf
+    elif at_cap.any():
+        gap, _ = cKDTree(cloud.positions[below]).query(
+            cloud.positions[at_cap])
+        radius[at_cap] = np.maximum(radius[at_cap], gap)
+    return radius
+
+
+def _uncovered(tree, failing, pairs) -> np.ndarray:
+    """The failing nodes of a spanning tree that a left-out edge still
+    threatens.
+
+    A left-out edge between two reached nodes is heavier than every tree
+    edge once either of its ends passes (see ``solvers``), so it matters
+    only between two failing nodes that the system does not pair. An
+    unreached failing node always counts: an edge to it would add it to
+    the tree.
+    """
+    reached = failing & (tree.parent != EXCLUDED)
+    both = reached[pairs[:, 0]] & reached[pairs[:, 1]]
+    partners = np.bincount(pairs[both].ravel(), minlength=failing.size)
+    return failing & ~(reached & (partners == np.count_nonzero(reached) - 1))
+
+
+def _widen_failing(cloud, neighbors, tree, failed, cap):
+    """The next round's system: the failing nodes below the cap grow, and
+    each failing node v at the cap takes every sample below the cap within
+    P(v) of it to the cap.
+
+    A node below the cap grows to at least twice its size K, and to
+    K P(v) / d_K(v) if that is more: the size at which samples spread
+    along a vessel as densely as around v now would reach out to P(v). An
+    unreached node goes to the cap at once, and one unreached at the cap
+    takes every sample there. The ball's radius carries the certificate's
+    slack, so it holds the nearest sample below the cap, which lies within
+    r(v) < P(v) / (1 - CERTIFY_RTOL): every round widens some sample.
+    """
+    from scipy.spatial import cKDTree
+
+    node_k = neighbors.node_k
+    sizes = node_k.copy()
+    below_cap = node_k[failed] < cap
+    grow, at_cap = failed[below_cap], failed[~below_cap]
+    k_now = node_k[grow]
+    with np.errstate(divide="ignore"):   # d_K is 0 among coincident
+        spread = np.ceil(k_now * tree.potential[grow]
+                         / neighbors.kth_distance[grow])
+    sizes[grow] = np.minimum(np.fmax(2 * k_now, spread), cap)
+    sizes[grow[tree.parent[grow] == EXCLUDED]] = cap
+    if at_cap.size:
+        below = np.flatnonzero(node_k < cap)
+        reach = tree.potential[at_cap] / (1.0 - CERTIFY_RTOL)
+        if np.isnan(reach).any():
+            sizes[below] = cap
+        else:
+            balls = cKDTree(cloud.positions[below]).query_ball_point(
+                cloud.positions[at_cap], reach)
+            sizes[below[np.concatenate(balls).astype(np.int64)]] = cap
+    widened = np.flatnonzero(sizes != node_k)
+    return widen_neighbors(cloud, neighbors, widened, sizes[widened])
 
 
 def _reissue(caught):
@@ -148,22 +230,23 @@ def _reissue(caught):
 def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     """Neighbors -> graph -> tree for one cloud; returns the run record.
 
-    One loop builds the mode's graph and solves it, round after round. The
-    certificate covers both isotropic modes: there every node starts at
-    ``CERTIFY_K0`` neighbours, up to the cap ``k``, and each round checks
-    every node's certificate. The solver's bound then holds for everything
-    left out, so a tree that passes at every node is the tree over all
-    N(N - 1) arcs, or all pairs in geodesic mode, which is the fixed-k
-    graph's tree too. A node that fails grows its neighbourhood, up to the
-    cap, to at least twice its size K, and to K P(v) / d_K(v) if that is
-    more: the size at which samples spread along a vessel as densely as
-    around v now would reach out to P(v). An unreached node goes to the cap
-    at once. If a node fails at the cap, the next round solves the
-    fixed-cap graph. Anisotropic neighbourhoods solve the graph of
-    ``build_neighbors`` once. The loop stops after a round whose tree is
-    certified or whose nodes are all at the cap, and keeps that round's
-    tree, graph and neighbor system (``k`` is the cap); only the warnings
-    of that round are issued.
+    One loop builds the mode's graph and solves it, round after round. In
+    both isotropic modes every node starts at ``CERTIFY_K0`` neighbours, up
+    to the cap ``k``, and each round checks every node's potential P(v)
+    against its complete radius (see ``_complete_radius``): then no arc the
+    round left out enters v more cheaply, and no edge left out at v is as
+    light as a spanning-tree edge (a left-out edge weighs at least twice
+    its chord). In geodesic mode only the failing nodes that
+    ``_uncovered`` keeps count. The failing nodes widen (see
+    ``_widen_failing``) and the next round solves again. Once every sample
+    is at the cap every radius is infinite, so the loop ends with the
+    fixed-cap graph's tree at the latest. Anisotropic neighbourhoods solve
+    the graph of ``build_neighbors`` once. The loop keeps the last round's
+    tree, graph and neighbor system (``k`` is the cap), and issues only
+    that round's warnings. The tree is ``certified`` when it is also the
+    tree over all N(N - 1) arcs, or all pairs in geodesic mode, by the same
+    test against each node's kNN radius d_K(v); ``uncertified_nodes``
+    counts the nodes that fail it.
     """
     n = len(cloud)
     cap = min(cfg.k, n - 1)
@@ -182,7 +265,14 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     else:
         neighbors = build_neighbors(cloud, cfg)
     lap("neighbors_s")
-    rounds, failed = 0, None
+
+    def check(radius=None):
+        failing = _uncertified(tree, neighbors, radius)
+        if cfg.mode == "geodesic":
+            failing = _uncovered(tree, failing, neighbors.pairs)
+        return np.flatnonzero(failing)
+
+    rounds, uncertified = 0, None
     while True:
         rounds += 1
         with warnings.catch_warnings(record=True) as caught:
@@ -198,22 +288,15 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
                 lap("graph_s")
                 tree = minimum_spanning_tree(graph, root)
         if certify:
-            failed = np.flatnonzero(_uncertified(tree, neighbors))
+            failed = check(_complete_radius(cloud, neighbors, cap))
         lap("solve_s")
-        if not certify or failed.size == 0 or np.all(neighbors.node_k == cap):
+        if not certify or failed.size == 0:
             break
-        k_now = neighbors.node_k[failed]
-        if np.any(k_now >= cap):
-            neighbors = knn_neighbors(cloud, cap)
-        else:
-            with np.errstate(divide="ignore"):   # d_K is 0 among coincident
-                spread = np.ceil(k_now * tree.potential[failed]
-                                 / neighbors.kth_distance[failed])
-            grown = np.minimum(np.fmax(2 * k_now, spread), cap).astype(
-                np.int64)
-            grown[tree.parent[failed] == EXCLUDED] = cap
-            neighbors = widen_neighbors(cloud, neighbors, failed, grown)
+        neighbors = _widen_failing(cloud, neighbors, tree, failed, cap)
         lap("neighbors_s")
+    if certify:
+        uncertified = check()
+        lap("solve_s")
     _reissue(caught)
     stats = {
         "mode": cfg.mode,
@@ -228,8 +311,9 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         "k_rounds": rounds,
         "k_max": int(neighbors.k if neighbors.node_k is None
                      else neighbors.node_k.max()),
-        "certified": None if failed is None else failed.size == 0,
-        "uncertified_nodes": None if failed is None else int(failed.size),
+        "certified": None if uncertified is None else uncertified.size == 0,
+        "uncertified_nodes": (None if uncertified is None
+                              else int(uncertified.size)),
         **times,
         "wall_time_s": clock - started,
     }
@@ -360,8 +444,6 @@ def _reconstruct_item(args):
         vio.write_tree(os.path.join(out_dir, "trees", name + ".txt"), tree)
         vio.write_json(os.path.join(out_dir, "stats", name + ".json"), stats)
         if dump_neighbors:
-            if stats["certified"]:   # the dump is the fixed-k system
-                neighbors = build_neighbors(cloud, cfg)
             vio.write_neighbor_pairs(
                 os.path.join(out_dir, "neighbors", name + ".csv"), neighbors)
         results.append((item["id"], cloud_entry["level"], stats))
@@ -389,12 +471,19 @@ def reconstruct_corpus(corpus_dir, out_dir, cfg: PipelineConfig,
     return [r for group in nested for r in group]
 
 
-def reconstruct_single(cloud_path, out_path, cfg: PipelineConfig):
+def reconstruct_single(cloud_path, out_path, cfg: PipelineConfig,
+                       dump_neighbors: bool = False):
+    """Reconstruct one cloud into ``out_path``; beside it go
+    ``<stem>_stats.json`` and, with ``dump_neighbors``, the neighbour
+    system the tree was solved from as ``<stem>_neighbors.csv``."""
     cloud = vio.read_point_cloud(cloud_path)
     root = resolve_root(cloud, cfg.root_index, cfg.root_at)
-    tree, stats, _ = reconstruct_cloud(cloud, cfg, root)
+    tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    stem = os.path.splitext(out_path)[0]
     vio.write_tree(out_path, tree)
-    vio.write_json(os.path.splitext(out_path)[0] + "_stats.json", stats)
+    vio.write_json(stem + "_stats.json", stats)
+    if dump_neighbors:
+        vio.write_neighbor_pairs(stem + "_neighbors.csv", neighbors)
     return stats
 
 
@@ -534,7 +623,10 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
 
 def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
                what: str = "arcs"):
-    """Write the neighbor pairs or the weighted arc list of one cloud."""
+    """Write the neighbor pairs or the weighted arc list of one cloud.
+
+    Both come from the fixed-k system of ``build_neighbors``, not from the
+    system that ``reconstruct_cloud`` grows and solves."""
     cloud = vio.read_point_cloud(cloud_path)
     neighbors = build_neighbors(cloud, cfg)
     if what == "neighbors":

@@ -41,9 +41,10 @@ edge, as it is when it weighs more than 2 P(v) at one of its ends v. If
 every edge left out at the root's tree is, Kruskal's (weight, index) order
 over the edges up to the heaviest tree edge is the same in the graph and
 in any supergraph that keeps the edges' relative order, so the root's tree
-is the supergraph's. A left-out geodesic edge weighs at least twice the
-kNN radius at either end, so ``pipeline`` checks P(v) against that radius
-exactly as for the arborescence.
+is the supergraph's. A left-out geodesic edge weighs at least twice its
+chord, which is at least the kNN radius at either end, so ``pipeline``
+checks P(v) against that radius as for the arborescence; an edge between
+two nodes of the root's tree is covered once either of its ends passes.
 
 Both solvers import ``scipy.sparse`` and its graph routines when first
 called, so importing this module loads numpy only.

@@ -155,8 +155,8 @@ def test_mst_certificate_holds_at_the_root(monkeypatch):
     # Unlike the arborescence, whose root has no entering arcs, the
     # spanning tree's root has left-out edges like any other node, so its
     # bound is the same and it must pass too. Each of those edges also has
-    # an end that passes here, so the round the root asks for proves the
-    # tree rather than changing it.
+    # an end that passes here, so the first round has proven the tree: a
+    # lone failing node is paired with every other failing node.
     cloud = star_of_arms()
     n = len(cloud)
     neighbors = knn_neighbors(cloud, 3)
@@ -168,8 +168,9 @@ def test_mst_certificate_holds_at_the_root(monkeypatch):
     monkeypatch.setattr(pipeline, "CERTIFY_K0", 3)
     cfg = PipelineConfig(mode="geodesic")
     tree, stats, neighbors = reconstruct_cloud(cloud, cfg, 0)
-    assert stats["k_rounds"] == 2 and stats["certified"] is True
-    assert neighbors.node_k.tolist() == [6] + [3] * (n - 1)
+    assert stats["k_rounds"] == 1 and stats["certified"] is True
+    assert stats["uncertified_nodes"] == 0
+    assert neighbors.node_k.tolist() == [3] * n
     assert same_tree(tree, fixed_mst(cloud, n - 1, 0))
 
 
@@ -218,37 +219,50 @@ def kd_tree_knn(cloud, k):
         kth_distance=kth)
 
 
-@pytest.mark.parametrize("seed, n_max", [(1, 60), (4, 120)])
-def test_fallback_at_a_clamped_cap_is_the_kd_tree_fallback(monkeypatch,
-                                                           seed, n_max):
-    # k = 500 clamps to N - 1, and a flipped sample fails there, so the
-    # fallback round solves the all-pairs system; built without a k-d tree
-    # query it must give the tree and certificate of the queried system.
-    cloud, root = vessel_cloud(seed, n_max=n_max, position_noise=0.3,
-                               flip=0.1)
-    n = len(cloud)
+def knn_spy(monkeypatch):
+    """Record the size of every ``knn_neighbors`` call of ``pipeline``."""
     sizes = []
 
-    def knn_spy(samples, k):
+    def spy(samples, k):
         sizes.append(k)
         return knn_neighbors(samples, k)
 
-    monkeypatch.setattr(pipeline, "knn_neighbors", knn_spy)
+    monkeypatch.setattr(pipeline, "knn_neighbors", spy)
+    return sizes
+
+
+def assert_fixed_tree(tree, fixed):
+    for name in ("parent", "edge_weight", "edge_alpha", "edge_length"):
+        assert getattr(tree, name).tobytes() == getattr(fixed, name).tobytes()
+
+
+@pytest.mark.parametrize("seed, n_max, sparse", [(1, 60, False),
+                                                 (4, 120, True)],
+                         ids=["1-60", "4-120"])
+def test_fallback_at_a_clamped_cap_is_the_kd_tree_fallback(monkeypatch,
+                                                           seed, n_max,
+                                                           sparse):
+    # k = 500 clamps to N - 1, and a flipped sample fails its kNN radius
+    # there. The loop never queries the whole cloud at the cap, and keeps
+    # the tree of the all-pairs system, built with or without a k-d tree
+    # query. At seed 1 the first round leaves 44 of the 47 samples
+    # unreached, and an unreached node goes to the cap at once, so that
+    # cloud ends with every pair.
+    cloud, root = vessel_cloud(seed, n_max=n_max, position_noise=0.3,
+                               flip=0.1)
+    n = len(cloud)
+    sizes = knn_spy(monkeypatch)
     tree, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(), root)
-    assert sizes[-1] == n - 1 and stats["certified"] is False
-    monkeypatch.setattr(pipeline, "knn_neighbors", kd_tree_knn)
-    ref_tree, ref_stats, ref_neighbors = reconstruct_cloud(
-        cloud, PipelineConfig(), root)
-    for name in ("parent", "edge_weight", "edge_alpha", "edge_length",
-                 "potential"):
-        assert getattr(tree, name).tobytes() == \
-            getattr(ref_tree, name).tobytes()
-    for key in ("certified", "uncertified_nodes", "k_rounds", "k_max",
-                "n_neighbor_pairs", "n_arcs", "total_weight"):
-        assert stats[key] == ref_stats[key]
-    assert neighbors.pairs.tobytes() == ref_neighbors.pairs.tobytes()
-    assert neighbors.kth_distance.tobytes() == \
-        ref_neighbors.kth_distance.tobytes()
+    assert sizes == [pipeline.CERTIFY_K0]
+    assert stats["certified"] is False
+    assert stats["uncertified_nodes"] == \
+        pipeline._uncertified(tree, neighbors).sum() > 0
+    assert stats["n_neighbor_pairs"] == neighbors.n_pairs
+    assert (neighbors.n_pairs < n * (n - 1) // 2) is sparse
+    cfg = PipelineConfig()
+    for knn in (knn_neighbors, kd_tree_knn):
+        graph = build_confluent_graph(cloud, knn(cloud, n - 1), cfg.epsilon)
+        assert_fixed_tree(tree, minimum_arborescence(graph, root))
 
 
 def chain_beyond_cluster():
@@ -349,35 +363,44 @@ def test_stats_describe_the_loop():
         assert stages == pytest.approx(stats["wall_time_s"], rel=1e-12)
 
 
-def test_fallback_counts_the_failing_nodes_of_the_kept_tree():
-    # A flipped sample fails at the cap of 100, so the last round solves
-    # the fixed-k graph; the count describes that round's tree, not the
-    # round that was thrown away.
+def test_fallback_counts_the_failing_nodes_of_the_kept_tree(monkeypatch):
+    # A flipped sample fails its kNN radius at the cap of 100. The loop
+    # takes only the samples within its potential to the cap, keeps the
+    # fixed-k tree, and counts the failing nodes of that kept tree.
     gt = generate_tree(n_leaves=8, domain_size=60.0, seed=0)
     cloud = sample_centerline(gt, SamplerConfig(
         tangent_noise_std_rad=0.1, orientation_flip_prob=0.05, seed=0))
     root = int(np.argmin(np.linalg.norm(
         cloud.positions - gt.positions[gt.root], axis=1)))
-    tree, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(k=100),
-                                               root)
+    sizes = knn_spy(monkeypatch)
+    cfg = PipelineConfig(k=100)
+    tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    assert sizes == [pipeline.CERTIFY_K0]
     assert stats["certified"] is False and stats["k_max"] == 100
-    assert np.all(neighbors.node_k == 100)
+    assert neighbors.n_pairs < knn_neighbors(cloud, 100).n_pairs
     assert stats["uncertified_nodes"] == \
         pipeline._uncertified(tree, neighbors).sum() > 0
+    assert_fixed_tree(tree, fixed_tree(cloud, 100, cfg, root))
 
 
-def test_dumped_neighbors_are_the_fixed_k_system(tmp_path):
+def test_dumped_neighbors_are_the_solved_system(tmp_path):
+    # Each dump is the system its tree was solved from: the pairs of
+    # reconstruct_cloud, as many as its stats count, fewer than the fixed-k
+    # system's.
     corpus = tmp_path / "corpus"
     manifest = synth_corpus(corpus, n_trees=1, n_leaves=4, domain_size=50.0,
                             seed=3)
     item = manifest["items"][0]
     cloud = read_point_cloud(corpus / item["clouds"][0]["path"])
+    root = pipeline.resolve_root(cloud, root_at=item["root_position"])
     for mode in ("confluent", "geodesic"):
+        cfg = PipelineConfig(mode=mode, k=30)
         run = tmp_path / mode
-        results = reconstruct_corpus(corpus, run,
-                                     PipelineConfig(mode=mode, k=30),
-                                     dump_neighbors=True)
-        assert results[0][2]["certified"] is True
-        assert results[0][2]["k_max"] < 30
+        stats = reconstruct_corpus(corpus, run, cfg,
+                                   dump_neighbors=True)[0][2]
+        assert stats["certified"] is True and stats["k_max"] < 30
         dumped = read_neighbor_pairs(run / "neighbors" / "recon_000_l00.csv")
-        assert np.array_equal(dumped.pairs, knn_neighbors(cloud, 30).pairs)
+        _, _, solved = reconstruct_cloud(cloud, cfg, root)
+        assert np.array_equal(dumped.pairs, solved.pairs)
+        assert stats["n_neighbor_pairs"] == dumped.n_pairs \
+            < knn_neighbors(cloud, 30).n_pairs

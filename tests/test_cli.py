@@ -12,7 +12,9 @@ import pytest
 
 import vesseltrees
 from vesseltrees.cli import main
-from vesseltrees.io import read_csv, read_json, read_point_cloud, read_tree
+from vesseltrees.io import read_csv, read_json, read_neighbor_pairs, \
+    read_point_cloud, read_tree
+from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud
 
 
 def run(args):
@@ -161,6 +163,51 @@ def test_single_cloud_reconstruct_and_graph_dump(tmp_path):
     assert rows
 
 
+def test_single_cloud_dump_is_the_solved_system(tmp_path):
+    # --dump-neighbors with --cloud writes <stem>_neighbors.csv beside the
+    # stats: the system reconstruct_cloud solved, as many pairs as counted
+    corpus = tmp_path / "corpus"
+    small_synth(corpus, extra=["--tangent-noise", "0.1"])
+    manifest = read_json(corpus / "manifest.json")
+    cloud_path = corpus / manifest["items"][0]["clouds"][0]["path"]
+    out_tree = tmp_path / "t.txt"
+    assert run(["reconstruct", "--cloud", str(cloud_path), "--out",
+                str(out_tree), "--k", "60", "--root-index", "0",
+                "--dump-neighbors"]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "corpus", "t.txt", "t_neighbors.csv", "t_stats.json"]
+    cloud = read_point_cloud(cloud_path)
+    dumped = read_neighbor_pairs(tmp_path / "t_neighbors.csv", cloud=cloud)
+    _, _, solved = reconstruct_cloud(cloud, PipelineConfig(k=60), 0)
+    assert np.array_equal(dumped.pairs, solved.pairs)
+    stats = read_json(tmp_path / "t_stats.json")
+    assert stats["n_neighbor_pairs"] == dumped.n_pairs
+
+
+def test_connectivity_scores_the_system_of_each_mode(tmp_path):
+    # A corpus-sweep-like corpus: each mode dumps the system its own trees
+    # were solved from, so the two connectivity tables differ.
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out", str(corpus), "--n-trees", "3",
+                "--n-leaves", "8", "--domain-size", "100", "--seed", "1",
+                "--tangent-noise", "0.1", "--sweep-param", "position-noise",
+                "--sweep-values", "0,0.15,0.3"]) == 0
+    tables = {}
+    for mode in ("confluent", "geodesic"):
+        recon, reports = tmp_path / mode, tmp_path / f"eval_{mode}"
+        assert run(["reconstruct", "--corpus", str(corpus), "--out",
+                    str(recon), "--mode", mode, "--dump-neighbors"]) == 0
+        assert run(["evaluate", "--corpus", str(corpus), "--recon",
+                    str(recon), "--out", str(reports)]) == 0
+        tables[mode] = read_csv(reports / "connectivity.csv")
+    (header, confluent), (_, geodesic) = tables["confluent"], \
+        tables["geodesic"]
+    assert header == ["tree_id", "level", "threshold", "recall", "fallout"]
+    assert len(confluent) == len(geodesic) == 9
+    assert [r[:3] for r in confluent] == [r[:3] for r in geodesic]
+    assert confluent != geodesic
+
+
 def test_compare_runs(tmp_path):
     corpus = tmp_path / "corpus"
     small_synth(corpus, extra=["--tangent-noise", "0.2", "--dropout", "0.1",
@@ -246,6 +293,43 @@ def test_config_values_get_the_checks_of_their_flags(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: ")
     assert repr(next(iter(values))) in err[0]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key, text, value", [
+    ("synth", "jobs", "0", 0),
+    ("reconstruct", "jobs", "-3", -3),
+    ("evaluate", "jobs", "two", "two"),
+    ("evaluate", "tol-scales", "0,-1", [0, -1]),
+    ("evaluate", "tol-scales", "1,nan", [1, "nan"]),
+    ("evaluate", "tol-scales", "1,inf", [1, "inf"]),
+], ids=["synth-jobs-0", "reconstruct-jobs-negative", "evaluate-jobs-word",
+        "scales-not-positive", "scales-nan", "scales-inf"])
+def test_jobs_and_tol_scales_refuse_bad_values(tmp_path, capsys, via,
+                                               command, key, text, value):
+    # --jobs takes whole numbers >= 1 and --tol-scales positive finite
+    # scales; either refusal names the flag or the config key, and nothing
+    # runs
+    out = tmp_path / "out"
+    args = {"synth": ["--out", str(out)],
+            "reconstruct": ["--corpus", "c", "--out", str(out)],
+            "evaluate": ["--corpus", "c", "--recon", "r", "--out",
+                         str(out)]}[command]
+    capsys.readouterr()
+    if via == "flag":
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, *args, f"--{key}", text])
+        assert exit_info.value.code == 2
+        assert f"argument --{key}: expected" in capsys.readouterr().err
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run(["--config", str(cfg_path), command, *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: bad value ")
+        assert f"for {key!r}: expected" in err[0]
+    assert not out.exists()
 
 
 def test_config_lists_nulls_and_choices(tmp_path):
