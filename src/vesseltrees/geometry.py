@@ -250,6 +250,16 @@ def arc_points(p_pos, p_tangent, q_pos, s) -> np.ndarray:
 # Vectorized kernels (graph construction and tree resampling hot paths)
 # ---------------------------------------------------------------------------
 
+def batch_arc_lengths(chord_len, alpha) -> np.ndarray:
+    """Arc lengths ``chord_len * alpha / sin(alpha)``, row by row: the
+    chord itself in the straight limit alpha = 0, and inf for degenerate
+    rows, alpha >= ``ALPHA_DEGENERATE``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = alpha / np.sin(alpha)
+    ratio = np.where(alpha == 0.0, 1.0, ratio)
+    return np.where(alpha >= ALPHA_DEGENERATE, np.inf, chord_len * ratio)
+
+
 def batch_arc_geometry(p_pos, p_tan, q_pos):
     """Fit arcs for M (p, q) rows at once.
 
@@ -261,10 +271,7 @@ def batch_arc_geometry(p_pos, p_tan, q_pos):
     e = chord / d[:, None]
     cos_a = np.clip(np.einsum("ij,ij->i", p_tan, e), -1.0, 1.0)
     alpha = np.arccos(cos_a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = alpha / np.sin(alpha)
-    ratio = np.where(alpha == 0.0, 1.0, ratio)
-    length = np.where(alpha >= ALPHA_DEGENERATE, np.inf, d * ratio)
+    length = batch_arc_lengths(d, alpha)
     end_tan = 2.0 * cos_a[:, None] * e - np.asarray(p_tan, float)
     return d, alpha, length, end_tan
 

@@ -23,7 +23,8 @@ K=500 system.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
-samples v selected. A sample v did not select is at least d_K(v) from v,
+samples v selected, or +inf where v selected every other sample and left
+nothing out. A sample v did not select is at least d_K(v) from v,
 so an arc into v that the graph leaves out costs at least d_K(v): it is
 at least as long as its chord, and gated arcs cost infinity. A geodesic
 edge the graph leaves out joins two samples that did not select each
@@ -49,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    ALPHA_DEGENERATE,
     COINCIDENT_TOL,
     SampleCloud,
     batch_arc_geometry,
+    batch_arc_lengths,
     batch_confluence_angles,
     batch_shorter_arc_lengths,
 )
@@ -94,7 +95,8 @@ class NeighborSystem:
     Isotropic systems from ``knn_neighbors`` and ``widen_neighbors`` also
     carry, per node, ``node_k``, the number of nearest samples it selected,
     and ``kth_distance``, the distance to the farthest of them: every
-    sample it did not select is at least that far away.
+    sample it did not select is at least that far away. Where ``node_k``
+    is N - 1 nothing is left out, and ``kth_distance`` is +inf.
     """
 
     k: int
@@ -182,7 +184,8 @@ def _nearest_codes(tree, positions, rows, k, n):
     than k + 1 coincident samples push the query point out of its own
     result, needs a tie-break: it keeps the k smallest of its row by
     (distance, index). Either way the last queried distance bounds every
-    sample the row did not keep.
+    sample the row did not keep; at k = N - 1 there is none, and the bound
+    is +inf.
     """
     codes, kth = [], np.empty(rows.size)
     for lo in range(0, rows.size, _QUERY_CHUNK):
@@ -195,28 +198,15 @@ def _nearest_codes(tree, positions, rows, k, n):
             _, idx[crowded] = _rowwise_sorted(dist[crowded], idx[crowded])
             keep[crowded, -1] = False
         codes.append(_encode_pairs(np.repeat(part, k), idx[keep], n))
-        kth[lo:lo + part.size] = dist[:, -1]
+        kth[lo:lo + part.size] = np.inf if k == n - 1 else dist[:, -1]
     return np.concatenate(codes), kth
 
 
-def _all_pairs(positions):
-    """Every pair ``i < j`` in lexicographic order, and each row's d_{N-1}.
-
-    This is what ``_nearest_codes`` gives when every row selects every
-    other sample, without the k-d tree query. Each row's farthest-sample
-    distance is summed as the k-d tree sums it, ``(dx*dx + dy*dy) +
-    dz*dz``, so the square root of the row maximum is its distance bit for
-    bit; rows are taken in chunks of about ``_PAIR_CHUNK`` distances.
-    """
-    n = positions.shape[0]
-    far = np.empty(n)
-    step = max(1, _PAIR_CHUNK // n)
-    for lo in range(0, n, step):
-        diff = positions[lo:lo + step, None, :] - positions[None, :, :]
-        sq = diff * diff
-        far[lo:lo + step] = ((sq[..., 0] + sq[..., 1]) + sq[..., 2]).max(
-            axis=1)
-    return np.stack(np.triu_indices(n, 1), axis=1), np.sqrt(far)
+def _all_pairs(n):
+    """Every pair ``i < j`` of ``n`` samples in lexicographic order, and
+    each row's radius, +inf: what ``_nearest_codes`` gives when every row
+    selects every other sample, without the k-d tree query."""
+    return np.stack(np.triu_indices(n, 1), axis=1), np.full(n, np.inf)
 
 
 def knn_neighbors(samples, k: int) -> NeighborSystem:
@@ -227,8 +217,8 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
     several samples tied at the last queried distance enter a row is the
     k-d tree's choice, not the lowest index. ``k`` is clamped to |V| - 1
     with a warning when too large. At k = |V| - 1 every sample selects
-    every other, so the system is all pairs and takes no k-d tree query
-    (see ``_all_pairs``).
+    every other, so the system is all pairs, every radius is +inf, and it
+    takes no k-d tree query (see ``_all_pairs``).
     """
     from scipy.spatial import cKDTree
 
@@ -238,7 +228,7 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
         raise ValueError("need at least 2 samples to build a neighbor system")
     k = _clamp_k(k, n, "k")
     if k == n - 1:
-        pairs, kth = _all_pairs(cloud.positions)
+        pairs, kth = _all_pairs(n)
     else:
         codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
                                     np.arange(n), k, n)
@@ -256,8 +246,8 @@ def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
     ``node_k`` and at most |V| - 1. ``neighbors`` is an isotropic system
     of ``knn_neighbors`` or of an earlier widening; the listed nodes' new
     pairs join its pairs, and their ``node_k`` and ``kth_distance`` are
-    updated. The system's ``k`` becomes the largest size now in use if
-    that exceeds it.
+    updated (+inf for a node widened to |V| - 1). The system's ``k``
+    becomes the largest size now in use if that exceeds it.
     """
     from scipy.spatial import cKDTree
 
@@ -384,10 +374,13 @@ class TubularGraph:
         return self.tails.shape[0]
 
     def arc_geometry(self, tails, heads):
-        """(alpha, length, end_tangent) for arcs tail -> head, recomputed.
+        """(alpha, length, end_tangent) for arcs tail -> head, recomputed
+        by ``batch_arc_geometry``.
 
-        Same vectorized kernel as construction, so values match the stored
-        weights bit for bit.
+        The construction fits each arc with the same operations and the
+        same ``batch_arc_lengths``, so alpha and length match the arcs it
+        weighed bit for bit; the weight is that length plus the elastic
+        term, if any.
         """
         tails = np.asarray(tails)
         heads = np.asarray(heads)
@@ -428,12 +421,8 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
             # length and weight as batch_arc_geometry and batch_arc_weights
             # give them, for the arcs that pass the gate only
             alpha = np.arccos(cos_a[gate])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = alpha / np.sin(alpha)
-            ratio = np.where(alpha == 0.0, 1.0, ratio)
-            length = np.where(alpha >= ALPHA_DEGENERATE, np.inf,
-                              d[gate] * ratio)
-            w = length + elastic_lambda * 2.0 * alpha
+            w = (batch_arc_lengths(d[gate], alpha)
+                 + elastic_lambda * 2.0 * alpha)
             finite = np.isfinite(w)
             tails.append(a[gate[finite]])
             heads.append(b[gate[finite]])

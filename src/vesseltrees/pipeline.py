@@ -115,20 +115,16 @@ def build_neighbors(cloud, cfg: PipelineConfig):
 def _uncertified(tree, neighbors, radius=None) -> np.ndarray:
     """Mask of the nodes whose certificate fails.
 
-    A reached node passes when its potential P(v) is at most ``radius``,
-    by default its kNN radius d_K(v): then no arc the graph left out can
+    A node passes when its potential P(v) is at most ``radius``, by
+    default its kNN radius d_K(v): then no arc the graph left out can
     enter it more cheaply, and no edge left out at it is as light as a
-    spanning-tree edge. An unreached node passes only if nothing at it was
-    left out: it selected every other sample, or its radius is infinite.
+    spanning-tree edge. Both sides may be +inf: P(v) off the root's tree,
+    which passes only where the radius is +inf too, because nothing at v
+    was left out.
     """
-    n = tree.parent.size
     if radius is None:
         radius = neighbors.kth_distance
-    unreached = ((tree.parent == EXCLUDED) & (neighbors.node_k < n - 1)
-                 & np.isfinite(radius))
-    with np.errstate(invalid="ignore"):     # NaN potential where unreached
-        too_dear = tree.potential > radius * (1.0 - CERTIFY_RTOL)
-    return unreached | too_dear
+    return tree.potential > radius * (1.0 - CERTIFY_RTOL)
 
 
 def _complete_radius(cloud, neighbors, cap) -> np.ndarray:
@@ -139,18 +135,17 @@ def _complete_radius(cloud, neighbors, cap) -> np.ndarray:
     node at the cap holds its whole cap neighbourhood, so a cap pair left
     out at it is one that its other end selects at the cap and has not yet:
     that end is below the cap. So at the cap r(v) is the larger of d_cap(v)
-    and the distance to the nearest sample below the cap, and infinite if
-    there is none or if the cap is every other sample.
+    and the distance to the nearest sample below the cap. Both can be
+    +inf: d_cap(v) when the cap is every other sample, and the distance
+    when no sample is below the cap, as a query of an empty k-d tree
+    returns it.
     """
     from scipy.spatial import cKDTree
 
     radius = neighbors.kth_distance.copy()
     at_cap = neighbors.node_k == cap
-    below = np.flatnonzero(~at_cap)
-    if cap == len(cloud) - 1 or below.size == 0:
-        radius[at_cap] = np.inf
-    elif at_cap.any():
-        gap, _ = cKDTree(cloud.positions[below]).query(
+    if at_cap.any():
+        gap, _ = cKDTree(cloud.positions[~at_cap]).query(
             cloud.positions[at_cap])
         radius[at_cap] = np.maximum(radius[at_cap], gap)
     return radius
@@ -178,12 +173,14 @@ def _widen_failing(cloud, neighbors, tree, failed, cap):
     P(v) of it to the cap.
 
     A node below the cap grows to at least twice its size K, and to
-    K P(v) / d_K(v) if that is more: the size at which samples spread
-    along a vessel as densely as around v now would reach out to P(v). An
-    unreached node goes to the cap at once, and one unreached at the cap
-    takes every sample there. The ball's radius carries the certificate's
-    slack, so it holds the nearest sample below the cap, which lies within
-    r(v) < P(v) / (1 - CERTIFY_RTOL): every round widens some sample.
+    K P(v) / d_K(v) if that is more, up to the cap: the size at which
+    samples spread along a vessel as densely as around v now would reach
+    out to P(v). P(v) is +inf at an unreached node, so it goes to the cap
+    at once; one unreached at the cap takes every sample below the cap to
+    it, without the ball query that would return them all. The ball's
+    radius carries the certificate's slack, so it holds the nearest sample
+    below the cap, which lies within r(v) < P(v) / (1 - CERTIFY_RTOL):
+    every round widens some sample.
     """
     from scipy.spatial import cKDTree
 
@@ -196,11 +193,10 @@ def _widen_failing(cloud, neighbors, tree, failed, cap):
         spread = np.ceil(k_now * tree.potential[grow]
                          / neighbors.kth_distance[grow])
     sizes[grow] = np.minimum(np.fmax(2 * k_now, spread), cap)
-    sizes[grow[tree.parent[grow] == EXCLUDED]] = cap
     if at_cap.size:
         below = np.flatnonzero(node_k < cap)
         reach = tree.potential[at_cap] / (1.0 - CERTIFY_RTOL)
-        if np.isnan(reach).any():
+        if np.isinf(reach).any():
             sizes[below] = cap
         else:
             balls = cKDTree(cloud.positions[below]).query_ball_point(
@@ -245,8 +241,9 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     tree, graph and neighbor system (``k`` is the cap), and issues only
     that round's warnings. The tree is ``certified`` when it is also the
     tree over all N(N - 1) arcs, or all pairs in geodesic mode, by the same
-    test against each node's kNN radius d_K(v); ``uncertified_nodes``
-    counts the nodes that fail it.
+    test against each node's kNN radius d_K(v), which is +inf at a node
+    that selected every other sample; ``uncertified_nodes`` counts the
+    nodes that fail it.
     """
     n = len(cloud)
     cap = min(cfg.k, n - 1)

@@ -31,17 +31,20 @@ solver reports them per node as the potential P(v), the sum of y_S over
 every S that contains v. An arc u -> v that the graph left out can only
 improve the tree if its weight is below P(v): that is the bound the
 certified neighbour count in ``pipeline`` checks against each node's kNN
-radius.
+radius. A node off the root's tree has P(v) = +inf, because any arc into
+it would change the tree; it passes only against an infinite radius,
+where nothing was left out.
 
 The spanning tree reports a potential too: half the weight of its heaviest
 edge, at every node of the root's tree, the root included (0 for a single
-node). By the cycle property (Kruskal 1956; Tarjan 1983), an edge the graph
-left out cannot change the tree if it is strictly heavier than every tree
-edge, as it is when it weighs more than 2 P(v) at one of its ends v. If
-every edge left out at the root's tree is, Kruskal's (weight, index) order
-over the edges up to the heaviest tree edge is the same in the graph and
-in any supergraph that keeps the edges' relative order, so the root's tree
-is the supergraph's. A left-out geodesic edge weighs at least twice its
+node), and +inf off it, as for the arborescence. By the cycle property
+(Kruskal 1956; Tarjan 1983), an edge the graph left out cannot change the
+tree if it is strictly heavier than every tree edge, as it is when it
+weighs more than 2 P(v) at one of its ends v. If every edge left out at
+the root's tree is, Kruskal's (weight, index) order over the edges up to
+the heaviest tree edge is the same in the graph and in any supergraph
+that keeps the edges' relative order, so the root's tree is the
+supergraph's. A left-out geodesic edge weighs at least twice its
 chord, which is at least the kNN radius at either end, so ``pipeline``
 checks P(v) against that radius as for the arborescence; an edge between
 two nodes of the root's tree is covered once either of its ends passes.
@@ -93,7 +96,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     ``n_nodes``: parent is ``NO_PARENT`` at the root and ``EXCLUDED`` for
     unreachable nodes; ``arc_index[v]`` is the index into the input arrays
     of the arc chosen to enter ``v`` (-1 where none); ``potential[v]`` is
-    the dual potential P(v) of the module docstring, 0 at the root and NaN
+    the dual potential P(v) of the module docstring, 0 at the root and +inf
     for unreachable nodes.
     """
     from scipy.sparse import csr_matrix
@@ -108,7 +111,7 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     parent = np.full(n_nodes, EXCLUDED, dtype=np.int64)
     arc_index = np.full(n_nodes, -1, dtype=np.int64)
     parent[root] = NO_PARENT
-    potential = np.full(n_nodes, np.nan)
+    potential = np.full(n_nodes, np.inf)
     potential[root] = 0.0
 
     valid = np.isfinite(weights) & (tails != heads) & (heads != root)
@@ -274,7 +277,7 @@ def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
     """MST of the root's connected component, re-rooted as a parent map.
 
     ``potential`` is half the heaviest tree edge's weight on the root's
-    component and NaN elsewhere (see the module docstring).
+    component and +inf elsewhere (see the module docstring).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
@@ -302,5 +305,5 @@ def minimum_spanning_tree(graph: TubularGraph, root: int) -> VesselTree:
         warnings.warn("root is isolated; returning a single-node tree")
     tree = _tree_from_parent(graph, parent, arc_index, root, directed=False)
     heaviest = np.max(tree.edge_weight[child], initial=0.0)
-    tree.potential = np.where(parent != EXCLUDED, heaviest / 2.0, np.nan)
+    tree.potential = np.where(parent != EXCLUDED, heaviest / 2.0, np.inf)
     return tree

@@ -2,8 +2,11 @@
 
 In every isotropic mode ``k`` is the cap, and ``reconstruct_cloud`` grows
 per-node neighbourhoods until the solver's bound proves the tree optimal
-over all arcs (confluent) or all edges (geodesic). These tests hold it to
-the trees of the fixed-k and the all-pairs (K = N - 1) graphs.
+over all arcs (confluent) or all edges (geodesic), or at the latest proves
+it the fixed-cap graph's tree. There is no fallback solve: a tree that
+fails the all-pairs test is kept and reported uncertified, and the tests
+below that say "fallback" mean such a tree. These tests hold it to the
+trees of the fixed-k and the all-pairs (K = N - 1) graphs.
 """
 
 import math
@@ -22,6 +25,7 @@ from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud, \
     reconstruct_corpus, synth_corpus
 from vesseltrees.solvers import minimum_arborescence, minimum_spanning_tree
 from vesseltrees.synth import SamplerConfig, generate_tree, sample_centerline
+from vesseltrees.trees import NO_PARENT
 
 
 def fixed_tree(cloud, k, cfg, root):
@@ -193,7 +197,8 @@ def test_mst_grows_across_a_gap_wider_than_twice_the_knn_radius():
 
 def test_flipped_tangent_fallback_is_the_fixed_k_tree():
     # A flipped sample's cheapest admissible entering arc is longer than
-    # its 6-NN radius, so the loop falls back to one fixed-k solve.
+    # its 6-NN radius. CERTIFY_K0 exceeds the cap of 6, so the first round
+    # is already the fixed-k solve; it is kept and reported uncertified.
     cloud, root = vessel_cloud(3, n_max=120, position_noise=0.3, flip=0.1)
     cfg = PipelineConfig(k=6)
     with warnings.catch_warnings():
@@ -242,27 +247,51 @@ def assert_fixed_tree(tree, fixed):
 def test_fallback_at_a_clamped_cap_is_the_kd_tree_fallback(monkeypatch,
                                                            seed, n_max,
                                                            sparse):
-    # k = 500 clamps to N - 1, and a flipped sample fails its kNN radius
-    # there. The loop never queries the whole cloud at the cap, and keeps
-    # the tree of the all-pairs system, built with or without a k-d tree
-    # query. At seed 1 the first round leaves 44 of the 47 samples
-    # unreached, and an unreached node goes to the cap at once, so that
-    # cloud ends with every pair.
+    # k = 500 clamps to N - 1, and flipped samples fail their kNN radius
+    # below it. The loop never queries the whole cloud at the cap, and
+    # keeps the tree of the all-pairs system, built with or without a k-d
+    # tree query. That tree is certified: the nodes still dearer than
+    # their farthest sample selected every other sample, so nothing at
+    # them was left out and their radius is +inf. At seed 1 the first
+    # round leaves 44 of the 47 samples unreached, and an unreached node
+    # goes to the cap at once, so that cloud ends with every pair.
     cloud, root = vessel_cloud(seed, n_max=n_max, position_noise=0.3,
                                flip=0.1)
     n = len(cloud)
     sizes = knn_spy(monkeypatch)
     tree, stats, neighbors = reconstruct_cloud(cloud, PipelineConfig(), root)
     assert sizes == [pipeline.CERTIFY_K0]
-    assert stats["certified"] is False
-    assert stats["uncertified_nodes"] == \
-        pipeline._uncertified(tree, neighbors).sum() > 0
+    assert stats["certified"] is True and stats["uncertified_nodes"] == 0
+    assert not pipeline._uncertified(tree, neighbors).any()
+    farthest = np.max(np.linalg.norm(
+        cloud.positions[:, None] - cloud.positions[None], axis=2), axis=1)
+    dearer = tree.potential > farthest
+    assert dearer.any() and (neighbors.node_k[dearer] == n - 1).all()
     assert stats["n_neighbor_pairs"] == neighbors.n_pairs
     assert (neighbors.n_pairs < n * (n - 1) // 2) is sparse
     cfg = PipelineConfig()
     for knn in (knn_neighbors, kd_tree_knn):
         graph = build_confluent_graph(cloud, knn(cloud, n - 1), cfg.epsilon)
         assert_fixed_tree(tree, minimum_arborescence(graph, root))
+
+
+def test_a_node_that_selected_every_sample_passes():
+    # The root's tangent leaves 2 rad off the chord to sample 1, and
+    # sample 1 flows across the chord to sample 2, so both enter the tree
+    # by an arc longer than the farthest sample from them. Every node
+    # selected every other sample, so no arc was left out and the tree
+    # over all 3 pairs is certified.
+    tan = [[math.cos(2.0), math.sin(2.0), 0.0], [1.0, 0.0, 0.0],
+           [0.0, 1.0, 0.0]]
+    cloud = SampleCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                         [1.0, 1.2, 0.0]], tan)
+    tree, stats, neighbors = reconstruct_cloud(
+        cloud, PipelineConfig(epsilon=math.pi), 0)
+    assert neighbors.n_pairs == 3 and stats["k_rounds"] == 1
+    assert tree.parent.tolist() == [NO_PARENT, 0, 1]
+    assert tree.potential[1] > 1.2 and tree.potential[2] > math.hypot(1, 1.2)
+    assert stats["certified"] is True and stats["uncertified_nodes"] == 0
+    assert np.isposinf(neighbors.kth_distance).all()
 
 
 def chain_beyond_cluster():
@@ -365,8 +394,9 @@ def test_stats_describe_the_loop():
 
 def test_fallback_counts_the_failing_nodes_of_the_kept_tree(monkeypatch):
     # A flipped sample fails its kNN radius at the cap of 100. The loop
-    # takes only the samples within its potential to the cap, keeps the
-    # fixed-k tree, and counts the failing nodes of that kept tree.
+    # takes only the samples within its potential to the cap, proves its
+    # tree the fixed-k tree, keeps it, and counts the nodes of that tree
+    # that fail the all-pairs test.
     gt = generate_tree(n_leaves=8, domain_size=60.0, seed=0)
     cloud = sample_centerline(gt, SamplerConfig(
         tangent_noise_std_rad=0.1, orientation_flip_prob=0.05, seed=0))

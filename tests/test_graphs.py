@@ -207,14 +207,14 @@ def test_all_pairs_system_is_the_kd_tree_system(monkeypatch):
             if n > 2:   # the stub is in place: a smaller k does query
                 with pytest.raises(AssertionError, match="no k-d tree"):
                     knn_neighbors(cloud, n - 2)
-            for chunk in (1, 97, graphs._PAIR_CHUNK):   # rows per pass vary
-                patch.setattr(graphs, "_PAIR_CHUNK", chunk)
-                system = knn_neighbors(cloud, n - 1)
-                assert system.pairs.dtype == pairs.dtype
-                assert system.pairs.tobytes() == pairs.tobytes()
-                assert system.kth_distance.tobytes() == kth.tobytes()
-                assert system.node_k.tolist() == [n - 1] * n
-                assert system.k == n - 1
+            system = knn_neighbors(cloud, n - 1)
+            assert system.pairs.dtype == pairs.dtype
+            assert system.pairs.tobytes() == pairs.tobytes()
+            # every sample selected every other, so nothing is left out
+            assert np.isposinf(kth).all()
+            assert system.kth_distance.tobytes() == kth.tobytes()
+            assert system.node_k.tolist() == [n - 1] * n
+            assert system.k == n - 1
             # an oversized k still warns and clamps to the same system
             with pytest.warns(UserWarning, match="clamping"):
                 clamped = knn_neighbors(cloud, n + 3)
@@ -273,6 +273,10 @@ def test_widen_neighbors_matches_per_node_queries():
             np.linalg.norm(cloud.positions - cloud.positions[i], axis=1)
         )[1:10].tolist()}
     assert pairs_set(widen_neighbors(cloud, base, [], 9)) == pairs_set(base)
+    # a node widened to every other sample leaves nothing out
+    whole = widen_neighbors(cloud, base, [0, 5], [199, 9])
+    assert np.isposinf(whole.kth_distance[0])
+    assert whole.kth_distance[5] == twice.kth_distance[5] < np.inf
     with pytest.raises(ValueError):
         widen_neighbors(cloud, system, [int(np.argmax(sizes))], 4)
     with pytest.raises(ValueError):
