@@ -15,11 +15,12 @@ the chunk results are joined in chunk order, so the output does not
 depend on the chunk size or the thread count. A confluent chunk computes
 each pair's chord and unit direction once for both arc directions,
 applies the confluence gate, and computes arc length and weight only for
-the arcs that pass it. Measured on 2 CPUs: the dense-k500 benchmark
-workload (about 4.8k samples, cap K=500) peaks at about 103 MB RSS over
-its whole synth, reconstruct and evaluate run, because the certified
-neighbour count solves it from about 20k pairs, not the 1.4M of the fixed
-K=500 system.
+the arcs that pass it. The certified neighbour count keeps the systems
+small: the dense-k500 benchmark cloud (about 4.8k samples, cap K=500) is
+solved from 20k pairs in one round, not the 1.4M of the fixed K=500
+system, and its whole benchmark run (``perfbench/run.py --workload
+dense-k500 --seed 1 --trace 0``) peaks at 101 to 107 MB RSS on a 2-core
+Intel Xeon.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
@@ -59,11 +60,15 @@ from .geometry import (
 )
 
 # Neighbor pairs fitted per chunk, small enough that a chunk's temporaries
-# stay in cache: on the dense-k500 cloud (1.4M pairs) 16k to 64k fit
+# stay in cache. On the fixed K=500 system of the dense-k500 cloud (1.4M
+# pairs), measured before the certified neighbour count, 16k to 64k fit
 # fastest, 256k about 25 % slower and all pairs at once about twice as slow.
-# 16k rather than 64k also keeps the worker threads' allocator arenas
-# small: benchmark peak RSS 99 vs 123 MB on corpus-sweep, 290 vs 312 MB on
-# dense-k500.
+# The certified systems are far smaller (20k pairs on dense-k500, 57k on
+# large-k100), so 16k splits them into a few chunks and starts the thread
+# pool, whose allocator arenas raise peak RSS: perfbench/run.py --seed 1 on
+# a 2-core Intel Xeon peaks at 101-107 MB at 16k vs 92 MB at 64k on
+# dense-k500, 132-143 vs 122 MB on large-k100, and 77 MB either way on
+# corpus-sweep.
 _PAIR_CHUNK = 16_384
 _QUERY_CHUNK = 20_000
 # A k-d tree query of fewer rows than this runs on one thread: starting the

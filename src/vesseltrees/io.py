@@ -1,15 +1,20 @@
 """Text file formats: point clouds, tree files, manifests, CSV reports.
 
 Point clouds are whitespace-separated ``x y z tx ty tz [r]`` rows; tree
-files start with a ``root <index>`` header followed by per-node rows,
-``node parent x y z radius`` for ground truth and ``node parent x y z
-alpha length weight`` for reconstructions (the root row carries ``nan``
-edge fields). ``#`` starts a comment in either format. Floats are written
-with ``repr`` so every file round-trips bit-exactly. A table whose columns
-are all integers, such as a neighbour-pair CSV, is formatted in numpy
-passes with the same bytes as ``str`` of each cell; a table with a float
-column formats its cells one by one, since ``repr`` of a float has no
-vectorised equal. All writes go through a temp file and an atomic rename.
+files have a ``root <index>`` header line and per-node rows, ``node parent
+x y z radius`` for ground truth and ``node parent x y z alpha length
+weight`` for reconstructions (the root row carries ``nan`` edge fields).
+``#`` starts a comment in either format. The rows of both are read by one
+``np.loadtxt`` (see ``_read_rows``); only a file it fails on is read again
+line by line, for a message that names the first bad line.
+
+Every table, the CSV reports included, is written column by column by
+``_write_rows``. Floats are written with ``repr`` so every file round-trips
+bit-exactly. A table whose columns are all integers, such as a
+neighbour-pair CSV, is formatted in numpy passes with the same bytes as
+``str`` of each cell; a table with a float column formats its cells one by
+one, since ``repr`` of a float has no vectorised equal. All writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -130,37 +135,57 @@ def _loadtxt(source, ndmin=2, **kwargs):
         return np.loadtxt(source, ndmin=ndmin, **kwargs)
 
 
-def _parse_cloud_lines(path, text):
-    """Line-by-line parse of a point cloud, naming the first bad line."""
-    rows = []
+def _cells(line):
+    """The whitespace-separated cells of ``line`` before any ``#``."""
+    return line.split("#", 1)[0].split()
+
+
+def _read_rows(path, text, widths, what, ids=False):
+    """The rows of the whitespace table ``text``, read by one
+    ``np.loadtxt``; ``#`` starts a comment.
+
+    Every row has the same width, one of the two ``widths``. The rows come
+    back as an (n, width) float array or, with ``ids``, as a structured
+    array: the two leading columns as int64 ``ids``, which must parse as
+    integers, and the rest as float ``vals``. A table without rows raises
+    ValueError ``no <what> found``; one that does not load raises
+    ValueError naming the file and its first bad line.
+    """
+    width = len(next(filter(None, map(_cells, io.StringIO(text))), ()))
+    if not width:
+        raise ValueError(f"{path}: no {what} found")
+    error = None
+    if width in widths:
+        dtype = [("ids", np.int64, (2,)),
+                 ("vals", float, (width - 2,))] if ids else float
+        try:
+            return _loadtxt(io.StringIO(text), ndmin=1 if ids else 2,
+                            comments="#", dtype=dtype)
+        except ValueError as exc:
+            error = exc
     for line_no, line in enumerate(text.split("\n"), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        cells = _cells(line)
+        if not cells:
             continue
-        cols = body.split()
-        if len(cols) not in (6, 7):
-            raise ValueError(f"{path}:{line_no}: expected 6 or 7 columns,"
-                             f" got {len(cols)}")
-        rows.append([float(c) for c in cols])
-    if not rows:
-        raise ValueError(f"{path}: no samples found")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {widths}")
-    return np.array(rows)
+        where = f"{path}:{line_no}"
+        if len(cells) not in widths:
+            raise ValueError(f"{where}: expected {widths[0]} or {widths[1]}"
+                             f" columns, got {len(cells)}")
+        if len(cells) != width:
+            raise ValueError(f"{where}: inconsistent column counts, "
+                             f"{len(cells)} after {width}")
+        try:
+            for i, cell in enumerate(cells):
+                (int if ids and i < 2 else float)(cell)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    raise ValueError(f"{path}: {error}")
 
 
 def read_point_cloud(path) -> SampleCloud:
-    """Load a point cloud: one ``np.loadtxt``, and a line-by-line parse
-    only when that fails, for an error message that names the line."""
+    """Load a point cloud of 6- or 7-column rows (see ``_read_rows``)."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        data = _loadtxt(io.StringIO(text), comments="#")
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] not in (6, 7):
-        data = _parse_cloud_lines(path, text)
+        data = _read_rows(path, fh.read(), (6, 7), "samples")
     radii = data[:, 6] if data.shape[1] == 7 else None
     return SampleCloud(data[:, 0:3], data[:, 3:6], radii)
 
@@ -180,89 +205,38 @@ def write_tree(path, tree):
                               *(column[ids] for column in data)], " ")
 
 
-def _parse_tree_lines(path, text):
-    """Line-by-line parse of a tree file, naming the first bad line."""
-    root = None
-    domain_size = None
-    rows = []
-    for line_no, line in enumerate(text.split("\n"), 1):
-        stripped = line.strip()
-        if stripped.startswith("# domain_size"):
-            domain_size = float(stripped.split()[2])
-            continue
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        cols = body.split()
-        if cols[0] == "root":
-            root = int(cols[1])
-            continue
-        if len(cols) not in (6, 8):
-            raise ValueError(f"{path}:{line_no}: expected 6 or 8 columns,"
-                             f" got {len(cols)}")
-        rows.append((int(cols[0]), int(cols[1]),
-                     [float(c) for c in cols[2:]]))
-    if root is None:
-        raise ValueError(f"{path}: missing 'root <index>' header")
-    if not rows:
-        raise ValueError(f"{path}: no nodes found")
-    widths = {len(r[2]) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts")
-    ids = np.array([r[:2] for r in rows], dtype=np.int64)
-    return root, domain_size, ids, np.array([r[2] for r in rows])
-
-
-def _parse_tree_table(text):
-    """The same parse in one ``np.loadtxt``; None where it cannot tell.
-
-    It reads the layout ``write_tree`` gives: header lines (comments, the
-    ``root`` line and ``# domain_size``) and then node rows only, 6 or 8
-    columns wide, whose two id columns parse as integers.
-    """
-    root = domain_size = first = None
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos) + 1 or len(text)
-        line = text[pos:end]
-        cols = line.split("#", 1)[0].split()
-        if cols and cols[0] != "root":
-            first = cols
-            break
-        if line.strip().startswith("# domain_size"):
-            domain_size = float(line.split()[2])
-        elif cols:
-            root = int(cols[1])
-        pos = end
-    rows = text[pos:]
-    if root is None or first is None or len(first) not in (6, 8) \
-            or "root" in rows or "# domain_size" in rows:
-        return None
-    try:
-        table = _loadtxt(io.StringIO(rows), ndmin=1, comments="#", dtype=[
-            ("ids", np.int64, (2,)), ("vals", float, (len(first) - 2,))])
-    except ValueError:
-        return None
-    return root, domain_size, table["ids"], table["vals"]
-
-
-def _parse_tree_rows(path):
-    """``(root, domain_size, ids, vals)``: (n, 2) node and parent ids and
-    the (n, 4 or 6) float columns of every row, in file order."""
-    with open(path) as fh:
-        text = fh.read()
-    return _parse_tree_table(text) or _parse_tree_lines(path, text)
-
-
 def read_tree(path, cloud: SampleCloud | None = None):
     """Load a tree file; 6-column files parse as ground truth.
 
     For reconstructed trees a sample cloud may be supplied to recover the
     per-edge arc geometry (start tangents); without it edges resample as
     straight chords while keeping the stored alpha/length/weight values.
-    A tree that fails ``validate()`` raises ValueError naming the file.
+    The ``root <index>`` and ``# domain_size <value>`` lines may stand
+    anywhere, the last of each counting; the node rows are read by
+    ``_read_rows``. A malformed file, or a tree that fails ``validate()``,
+    raises ValueError naming the file.
     """
-    root, domain_size, ids, vals = _parse_tree_rows(path)
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    root = domain_size = None
+    for line_no, line in enumerate(lines, 1):
+        if "root" not in line and "# domain_size" not in line:
+            continue
+        cells = _cells(line)
+        try:
+            if cells[:1] == ["root"]:
+                _, index = cells
+                root = int(index)
+                lines[line_no - 1] = ""   # a blank line keeps the numbering
+            elif line.strip().startswith("# domain_size"):
+                domain_size = float(line.split()[2])
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: line {line_no}: bad header "
+                             f"{line.strip()!r}") from None
+    if root is None:
+        raise ValueError(f"{path}: missing 'root <index>' header")
+    rows = _read_rows(path, "\n".join(lines), (6, 8), "nodes", ids=True)
+    ids, vals = rows["ids"], rows["vals"]
     nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
     if gt:
@@ -320,29 +294,32 @@ def read_json(path) -> dict:
 
 
 def write_csv(path, header, rows):
-    """CSV with repr-formatted floats so numeric cells round-trip."""
-    out = []
-    for row in rows:
-        out.append([_fmt(c) if isinstance(c, float) else str(c)
-                    for c in row])
-    text_rows = [",".join(header)] + [",".join(r) for r in out]
-    atomic_write_text(path, "\n".join(text_rows) + "\n")
+    """CSV of rows whose columns each hold one type: ``str`` cells, which
+    for a float is its ``repr``, so numeric cells round-trip."""
+    columns = [np.array(column) for column in zip(*rows)]
+    _write_rows(path, [",".join(header)], columns or [np.empty(0)], ",")
 
 
 def write_csv_columns(path, header, columns):
-    """``write_csv`` of the rows that 1-D arrays hold side by side.
-
-    Integer arrays give ``str`` cells and float arrays ``repr`` cells, so
-    the bytes equal those of ``write_csv`` on rows of int and float cells.
-    """
+    """``write_csv`` of the rows that 1-D arrays hold side by side."""
     _write_rows(path, [",".join(header)], columns, ",")
 
 
 def read_csv(path):
+    """``(header, rows)`` of a CSV, blank lines skipped; a file without a
+    header, or a row of another length, raises ValueError naming the file
+    and the row's line."""
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: no header row")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} cells, got {len(row)}")
+            rows.append(row)
     return header, rows
 
 

@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -425,9 +426,7 @@ def recon_name(item_id: int, level: int) -> str:
     return f"recon_{item_id:03d}_l{level:02d}"
 
 
-def _reconstruct_item(args):
-    corpus_dir, out_dir, cfg_dict, item, dump_neighbors = args
-    cfg = PipelineConfig(**cfg_dict)
+def _reconstruct_item(corpus_dir, out_dir, cfg, dump_neighbors, item):
     results = []
     for cloud_entry in item["clouds"]:
         cloud = vio.read_point_cloud(
@@ -450,10 +449,9 @@ def _reconstruct_item(args):
 def reconstruct_corpus(corpus_dir, out_dir, cfg: PipelineConfig,
                        jobs: int = 1, dump_neighbors: bool = False):
     manifest = vio.read_json(os.path.join(corpus_dir, "manifest.json"))
-    tasks = [(corpus_dir, out_dir, asdict(cfg), item, dump_neighbors)
-             for item in manifest["items"]]
     _load_scipy(jobs)
-    nested = _map_items(_reconstruct_item, tasks, jobs)
+    nested = _map_items(partial(_reconstruct_item, corpus_dir, out_dir, cfg,
+                                dump_neighbors), manifest["items"], jobs)
     try:
         corpus_ref = os.path.relpath(corpus_dir, out_dir)
     except ValueError:
@@ -488,9 +486,7 @@ def reconstruct_single(cloud_path, out_path, cfg: PipelineConfig,
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _evaluate_item(args):
-    (corpus_dir, recon_dir, item, levels, tol_dict, step, scales) = args
-    tol = MatchTolerance(**tol_dict)
+def _evaluate_item(corpus_dir, recon_dir, levels, tol, step, scales, item):
     gt = vio.read_tree(os.path.join(corpus_dir, item["tree"]))
     rows = []
     for cloud_entry in item["clouds"]:
@@ -561,11 +557,10 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
             "reconstruction run does not match the corpus; missing: "
             + ", ".join(missing))
 
-    tasks = [(corpus_dir, recon_dir, item, levels,
-              {"zeta": tol.zeta, "uses_radius": tol.uses_radius}, step,
-              tuple(tol_scales)) for item in manifest["items"]]
     _load_scipy(jobs)
-    nested = _map_items(_evaluate_item, tasks, jobs)
+    nested = _map_items(partial(_evaluate_item, corpus_dir, recon_dir, levels,
+                                tol, step, tuple(tol_scales)),
+                        manifest["items"], jobs)
     rows = sorted((r for group in nested for r in group),
                   key=lambda r: (r["level"], r["id"]))
 

@@ -14,9 +14,13 @@ node went into, and the arc it selected there. Expansion runs the rounds
 backwards, each round in one pass: the entering arc of each of its
 supernodes goes to the member that holds the arc's head, and the other
 members keep their selected arcs. This is the O(|A| |V|) worst case, but
-rounds are few on vessel-like data: 4.8k nodes with 1.5M arcs (K=500)
-solve in about 0.14 s on a 2-core Intel Xeon (x86-64). The spanning tree
-is scipy's Kruskal on each edge's (weight, index) rank.
+rounds are few on vessel-like data. On a 2-core Intel Xeon (x86-64), the
+two certified rounds of the large-k100 benchmark cloud (13.9k nodes, 0.22M
+arcs in all) solve in 0.02 s (``solvers.arborescence_s`` of
+``perfbench/run.py --workload large-k100 --seed 1 --trace 1``); 4.8k nodes
+with the 1.5M arcs of a fixed K=500 system took about 0.14 s when that
+system was still built. The spanning tree is scipy's Kruskal on each
+edge's (weight, index) rank.
 
 Ties are broken by lowest arc index everywhere, which makes both solvers
 deterministic for a given input ordering.

@@ -14,7 +14,8 @@ import vesseltrees
 from vesseltrees.cli import main
 from vesseltrees.io import read_csv, read_json, read_neighbor_pairs, \
     read_point_cloud, read_tree
-from vesseltrees.pipeline import PipelineConfig, reconstruct_cloud
+from vesseltrees.pipeline import PipelineConfig, recon_name, \
+    reconstruct_cloud
 
 
 def run(args):
@@ -272,6 +273,46 @@ def test_error_exits_are_nonzero(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"nonsense-knob": 1}))
     assert run(["--config", str(cfg_path), "synth", "--out",
                 str(tmp_path / "c2")]) == 1
+
+
+@pytest.mark.parametrize("case", ["cloud", "tree", "csv", "config"])
+def test_bad_input_is_one_error_line_naming_the_file(tmp_path, capsys,
+                                                     case):
+    # exit 1 and one "error: <path>..." line on stderr, never a traceback:
+    # a cloud row of 3 columns, a tree with a bare root line, an empty
+    # aggregate.csv and a config value its flag refuses
+    if case == "cloud":
+        bad = tmp_path / "cloud.txt"
+        bad.write_text("0 0 0 1 0 0\n1 2 3\n")
+        argv = ["reconstruct", "--cloud", str(bad), "--out",
+                str(tmp_path / "t.txt"), "--root-index", "0"]
+    elif case == "tree":
+        corpus, recon = tmp_path / "corpus", tmp_path / "run"
+        small_synth(corpus)
+        manifest = read_json(corpus / "manifest.json")
+        (recon / "trees").mkdir(parents=True)
+        for item in manifest["items"]:
+            (recon / "trees" / f"{recon_name(item['id'], 0)}.txt").touch()
+        bad = corpus / manifest["items"][0]["tree"]
+        bad.write_text("root\n0 -1 0 0 0 1\n")
+        argv = ["evaluate", "--corpus", str(corpus), "--recon", str(recon),
+                "--out", str(tmp_path / "eval")]
+    elif case == "csv":
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "aggregate.csv").write_text("")
+        bad = tmp_path / "a" / "aggregate.csv"
+        argv = ["compare", "--eval-a", str(tmp_path / "a"), "--eval-b",
+                str(tmp_path / "b"), "--out", str(tmp_path / "c.csv")]
+    else:
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({"k": "many"}))
+        argv = ["--config", str(bad), "reconstruct", "--corpus", "c",
+                "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}")
 
 
 @pytest.mark.parametrize("values", [

@@ -184,6 +184,19 @@ def test_csv_round_trip(tmp_path):
     assert float(got_rows[2][1]) == 1.2345678901234567e-12
 
 
+def test_csv_read_errors_name_the_file(tmp_path):
+    # an empty file has no header; a row of another length names its line
+    path = tmp_path / "table.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no header")):
+        read_csv(path)
+    for body, line in (("a,b,c\n1,2,3\n\n4,5\n", 4), ("a,b\n1,2,3\n", 2)):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{line}: expected")):
+            read_csv(path)
+
+
 def test_neighbor_pairs_round_trip(tmp_path, monkeypatch):
     system = NeighborSystem(k=2, pairs=np.array([[0, 1], [1, 2], [0, 3]]))
     path = tmp_path / "pairs.csv"
@@ -280,8 +293,12 @@ def test_nan_samples_rejected(tmp_path):
     # reconstruction: root out of range, negative node id
     ("root 9\n0 -1 0 0 0 nan nan nan\n", "root must map to no parent"),
     ("root 0\n0 -1 0 0 0 nan nan nan\n-1 0 1 0 0 0 1 1\n", "node ids"),
+    # header lines without their value, or with one that does not parse
+    ("root\n0 -1 0 0 0 1\n", "line 1: bad header 'root'"),
+    ("root 0\n0 -1 0 0 0 1\nroot x\n", "line 3: bad header 'root x'"),
+    ("# domain_size\nroot 0\n0 -1 0 0 0 1\n", "line 1: bad header"),
 ], ids=["gt-cycle", "gt-parent-range", "gt-no-root", "root-range",
-        "negative-node-id"])
+        "negative-node-id", "bare-root", "root-not-int", "bare-domain-size"])
 def test_malformed_tree_files_fail_loudly(tmp_path, body, message):
     path = tmp_path / "tree.txt"
     path.write_text(body)
@@ -316,9 +333,8 @@ def test_text_read_errors_name_the_line(tmp_path):
 
 
 def test_tree_read_in_any_line_layout(tmp_path):
-    # write_tree's layout takes the one-loadtxt path; headers among or
-    # after the rows, inline comments and a blank line take the
-    # line-by-line path, with the same result.
+    # Header lines among or after the rows, inline comments and a blank
+    # line read to the same arrays as write_tree's layout.
     gt = generate_tree(n_leaves=4, domain_size=50.0, seed=4)
     cloud = sample_centerline(gt, SamplerConfig(seed=1))
     graph = build_confluent_graph(cloud, knn_neighbors(cloud, 20),
