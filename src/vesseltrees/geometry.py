@@ -96,16 +96,6 @@ class SampleCloud:
         r = None if self.radii is None else float(self.radii[i])
         return OrientedSample(self.positions[i], self.tangents[i], r)
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleCloud":
-        samples = list(samples)
-        pos = np.array([s.position for s in samples], dtype=float).reshape(-1, 3)
-        tan = np.array([s.tangent for s in samples], dtype=float).reshape(-1, 3)
-        radii = None
-        if samples and all(s.radius is not None for s in samples):
-            radii = np.array([s.radius for s in samples], dtype=float)
-        return cls(pos, tan, radii)
-
 
 @dataclass
 class FlowArc:

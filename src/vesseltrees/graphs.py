@@ -8,19 +8,18 @@ Two graph flavors are produced from a symmetric k-nearest-neighbor system:
 * undirected "geodesic" baseline graphs whose edge weight is the sum of
   the two shorter arc lengths, one per endpoint tangent line.
 
-Everything here is vectorized. Both graph builders make one pass over
-cache-sized chunks of the neighbor pairs, fitted on a thread pool with one
-worker per usable CPU, or in the calling thread when there is one chunk;
-the chunk results are joined in chunk order, so the output does not
-depend on the chunk size or the thread count. A confluent chunk computes
-each pair's chord and unit direction once for both arc directions,
-applies the confluence gate, and computes arc length and weight only for
-the arcs that pass it. The certified neighbour count keeps the systems
-small: the dense-k500 benchmark cloud (about 4.8k samples, cap K=500) is
-solved from 20k pairs in one round, not the 1.4M of the fixed K=500
-system, and its whole benchmark run (``perfbench/run.py --workload
-dense-k500 --seed 1 --trace 0``) peaks at 101 to 107 MB RSS on a 2-core
-Intel Xeon.
+Everything here is vectorized and takes the samples as a ``SampleCloud``.
+Both graph builders make one pass over cache-sized chunks of the neighbor
+pairs, fitted one after another in the calling thread and joined in chunk
+order, so the output does not depend on the chunk size. A confluent chunk
+computes each pair's chord and unit direction once for both arc
+directions, applies the confluence gate, and computes arc length and
+weight only for the arcs that pass it. The certified neighbour count
+keeps the systems small: the dense-k500 benchmark cloud (about 4.8k
+samples, cap K=500) is solved from 20k pairs in one round, not the 1.4M
+of the fixed K=500 system, and its whole benchmark run
+(``perfbench/run.py --workload dense-k500 --seed 1 --trace 0``) peaks at
+about 92 MB RSS on a 2-core Intel Xeon.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
@@ -43,9 +42,7 @@ use, so importing this module loads numpy only.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +50,6 @@ import numpy as np
 from .geometry import (
     COINCIDENT_TOL,
     SampleCloud,
-    batch_arc_geometry,
     batch_arc_lengths,
     batch_confluence_angles,
     batch_shorter_arc_lengths,
@@ -63,12 +59,10 @@ from .geometry import (
 # stay in cache. On the fixed K=500 system of the dense-k500 cloud (1.4M
 # pairs), measured before the certified neighbour count, 16k to 64k fit
 # fastest, 256k about 25 % slower and all pairs at once about twice as slow.
-# The certified systems are far smaller (20k pairs on dense-k500, 57k on
-# large-k100), so 16k splits them into a few chunks and starts the thread
-# pool, whose allocator arenas raise peak RSS: perfbench/run.py --seed 1 on
-# a 2-core Intel Xeon peaks at 101-107 MB at 16k vs 92 MB at 64k on
-# dense-k500, 132-143 vs 122 MB on large-k100, and 77 MB either way on
-# corpus-sweep.
+# The certified systems (20k pairs on dense-k500, 57k on large-k100) take a
+# few chunks in the calling thread: perfbench/run.py --seed 1 peaks at
+# 92 MB on dense-k500, 122 MB on large-k100 and 77 MB on corpus-sweep
+# (2-core Intel Xeon).
 _PAIR_CHUNK = 16_384
 _QUERY_CHUNK = 20_000
 # A k-d tree query of fewer rows than this runs on one thread: starting the
@@ -80,12 +74,6 @@ _QUERY_CHUNK = 20_000
 # win from about 500 rows; the widenings that ask that many neighbours
 # re-query a few hundred rows at most on the benchmark workloads.
 _THREADED_QUERY_ROWS = 2_500
-
-
-def as_cloud(samples) -> SampleCloud:
-    if isinstance(samples, SampleCloud):
-        return samples
-    return SampleCloud.from_samples(samples)
 
 
 @dataclass
@@ -214,8 +202,8 @@ def _all_pairs(n):
     return np.stack(np.triu_indices(n, 1), axis=1), np.full(n, np.inf)
 
 
-def knn_neighbors(samples, k: int) -> NeighborSystem:
-    """Symmetrized k-nearest-neighbor pairs under Euclidean distance.
+def knn_neighbors(samples: SampleCloud, k: int) -> NeighborSystem:
+    """Symmetrized Euclidean k-nearest-neighbor pairs of a ``SampleCloud``.
 
     Uses a k-d tree, so the construction is O(K |V| log |V|); see
     ``_nearest_codes`` for the rows crowded by coincident samples. Which of
@@ -227,37 +215,35 @@ def knn_neighbors(samples, k: int) -> NeighborSystem:
     """
     from scipy.spatial import cKDTree
 
-    cloud = as_cloud(samples)
-    n = len(cloud)
+    n = len(samples)
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
     k = _clamp_k(k, n, "k")
     if k == n - 1:
         pairs, kth = _all_pairs(n)
     else:
-        codes, kth = _nearest_codes(cKDTree(cloud.positions), cloud.positions,
-                                    np.arange(n), k, n)
+        codes, kth = _nearest_codes(cKDTree(samples.positions),
+                                    samples.positions, np.arange(n), k, n)
         pairs = _decode_pairs(_sorted_unique(codes), n)
     return NeighborSystem(k=k, pairs=pairs, node_k=np.full(n, k),
                           kth_distance=kth)
 
 
-def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
-                    k) -> NeighborSystem:
+def widen_neighbors(samples: SampleCloud, neighbors: NeighborSystem,
+                    nodes, k) -> NeighborSystem:
     """``neighbors`` with only the listed nodes re-queried at a larger size.
 
     ``nodes`` are distinct sample indices and ``k`` their new sizes (one
     int for all, or one per node), each at least the node's current
     ``node_k`` and at most |V| - 1. ``neighbors`` is an isotropic system
-    of ``knn_neighbors`` or of an earlier widening; the listed nodes' new
-    pairs join its pairs, and their ``node_k`` and ``kth_distance`` are
-    updated (+inf for a node widened to |V| - 1). The system's ``k``
-    becomes the largest size now in use if that exceeds it.
+    of ``knn_neighbors`` or of an earlier widening over the same
+    ``SampleCloud``; the listed nodes' new pairs join its pairs, and their
+    ``node_k`` and ``kth_distance`` are updated (+inf at |V| - 1). The
+    system's ``k`` becomes the largest size now in use if that exceeds it.
     """
     from scipy.spatial import cKDTree
 
-    cloud = as_cloud(samples)
-    n = len(cloud)
+    n = len(samples)
     nodes = np.asarray(nodes, dtype=np.int64)
     sizes = np.broadcast_to(np.asarray(k, dtype=np.int64), nodes.shape)
     if nodes.size and not (np.all(sizes >= neighbors.node_k[nodes])
@@ -266,11 +252,11 @@ def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
     node_k = neighbors.node_k.copy()
     kth = neighbors.kth_distance.copy()
     codes = [_encode_pairs(neighbors.pairs[:, 0], neighbors.pairs[:, 1], n)]
-    tree = cKDTree(cloud.positions)
+    tree = cKDTree(samples.positions)
     for size in np.unique(sizes):
         rows = nodes[sizes == size]
         node_k[rows] = size
-        size_codes, kth[rows] = _nearest_codes(tree, cloud.positions, rows,
+        size_codes, kth[rows] = _nearest_codes(tree, samples.positions, rows,
                                                int(size), n)
         codes.append(size_codes)
     pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
@@ -278,9 +264,10 @@ def widen_neighbors(samples, neighbors: NeighborSystem, nodes,
                           node_k=node_k, kth_distance=kth)
 
 
-def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
+def anisotropic_knn(samples: SampleCloud, k_final: int = 4,
+                    k_candidate: int = 500,
                     aspect_ratio_sq: float = 10.0) -> NeighborSystem:
-    """Nearest neighbors under a tangent-aligned Mahalanobis distance.
+    """Tangent-aligned Mahalanobis nearest neighbors of a ``SampleCloud``.
 
     Per node, ``k_candidate`` Euclidean candidates are re-scored with
     ``d^2 = d_par^2 / aspect_ratio_sq + d_perp^2`` where ``d_par`` is the
@@ -295,24 +282,23 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
     """
     from scipy.spatial import cKDTree
 
-    cloud = as_cloud(samples)
-    n = len(cloud)
+    n = len(samples)
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
     if aspect_ratio_sq < 1.0:
         raise ValueError("aspect_ratio_sq must be >= 1")
     k_candidate = _clamp_k(k_candidate, n, "k_candidate")
     k_final = min(_clamp_k(k_final, n, "k_final"), k_candidate)
-    tree = cKDTree(cloud.positions)
+    pos = samples.positions
+    tree = cKDTree(pos)
     chunk = max(1, _QUERY_CHUNK // 4)
     codes = []
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        dist, idx = tree.query(cloud.positions[lo:hi], k=k_candidate + 1,
-                               workers=-1)
+        dist, idx = tree.query(pos[lo:hi], k=k_candidate + 1, workers=-1)
         rows = np.arange(lo, hi)
-        disp = cloud.positions[idx] - cloud.positions[lo:hi, None, :]
-        d_par = np.einsum("rkj,rj->rk", disp, cloud.tangents[lo:hi])
+        disp = pos[idx] - pos[lo:hi, None, :]
+        d_par = np.einsum("rkj,rj->rk", disp, samples.tangents[lo:hi])
         maha = dist * dist - d_par * d_par * (1.0 - 1.0 / aspect_ratio_sq)
         maha[idx == rows[:, None]] = np.inf  # exclude self
         codes.append(_encode_pairs(np.repeat(rows, k_final),
@@ -321,27 +307,15 @@ def anisotropic_knn(samples, k_final: int = 4, k_candidate: int = 500,
     return NeighborSystem(k=k_final, pairs=pairs)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, as the kd-tree's ``workers=-1``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_pair_chunks(fit, pairs):
     """Apply ``fit`` to consecutive ``_PAIR_CHUNK``-row slices of ``pairs``.
 
     ``fit`` returns a tuple of 1-D arrays; each is concatenated over the
-    slices in slice order. The slices run on a thread pool, which numpy's
-    kernels keep busy because they release the GIL. There is always at
-    least one slice, possibly empty; a lone slice starts no pool.
+    slices in slice order. The slices run one after another in the calling
+    thread. There is always at least one slice, possibly empty.
     """
-    chunks = [pairs[lo:lo + _PAIR_CHUNK]
-              for lo in range(0, max(pairs.shape[0], 1), _PAIR_CHUNK)]
-    if len(chunks) == 1:
-        return fit(chunks[0])
-    with ThreadPoolExecutor(min(_usable_cpus(), len(chunks))) as pool:
-        parts = list(pool.map(fit, chunks))
+    parts = [fit(pairs[lo:lo + _PAIR_CHUNK])
+             for lo in range(0, max(pairs.shape[0], 1), _PAIR_CHUNK)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -378,26 +352,12 @@ class TubularGraph:
     def n_arcs(self) -> int:
         return self.tails.shape[0]
 
-    def arc_geometry(self, tails, heads):
-        """(alpha, length, end_tangent) for arcs tail -> head, recomputed
-        by ``batch_arc_geometry``.
 
-        The construction fits each arc with the same operations and the
-        same ``batch_arc_lengths``, so alpha and length match the arcs it
-        weighed bit for bit; the weight is that length plus the elastic
-        term, if any.
-        """
-        tails = np.asarray(tails)
-        heads = np.asarray(heads)
-        _, alpha, length, end_tan = batch_arc_geometry(
-            self.samples.positions[tails], self.samples.tangents[tails],
-            self.samples.positions[heads])
-        return alpha, length, end_tan
-
-
-def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
+def build_confluent_graph(samples: SampleCloud, neighbors: NeighborSystem,
+                          epsilon: float,
                           elastic_lambda: float = 0.0) -> TubularGraph:
-    """Directed graph of admissible flow-extrapolating arcs.
+    """Directed graph of admissible flow-extrapolating arcs in a
+    ``SampleCloud``.
 
     Both directions of every neighbor pair are fitted; arcs whose
     confluence angle exceeds ``epsilon`` (or that are degenerate, or whose
@@ -407,8 +367,7 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
         raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
     if elastic_lambda < 0.0:
         raise ValueError("elastic_lambda must be >= 0")
-    cloud = as_cloud(samples)
-    pos, tan = cloud.positions, cloud.tangents
+    pos, tan = samples.positions, samples.tangents
 
     def fit(chunk):
         u, v, chord, d = _distinct_pairs(pos, chunk)
@@ -439,20 +398,21 @@ def build_confluent_graph(samples, neighbors: NeighborSystem, epsilon: float,
     tails, heads, weights = _map_pair_chunks(fit, neighbors.pairs)
     # (tail, head) pairs are unique, so sorting this one int64 key gives
     # the (tail, head) lexsort order whatever the chunking
-    order = np.argsort(tails.astype(np.int64) * len(cloud) + heads)
-    return TubularGraph(cloud, tails[order], heads[order], weights[order],
+    order = np.argsort(tails.astype(np.int64) * len(samples) + heads)
+    return TubularGraph(samples, tails[order], heads[order], weights[order],
                         mode="confluent")
 
 
-def build_geodesic_graph(samples, neighbors: NeighborSystem) -> TubularGraph:
-    """Undirected baseline graph weighted by summed shorter arc lengths.
+def build_geodesic_graph(samples: SampleCloud,
+                         neighbors: NeighborSystem) -> TubularGraph:
+    """Undirected baseline graph of a ``SampleCloud``, weighted by summed
+    shorter arc lengths.
 
     Each endpoint contributes the shorter of the two arcs compatible with
     its tangent line (tangent orientation does not matter), so the weight
     is symmetric by construction. Degenerate fits fall back to the chord.
     """
-    cloud = as_cloud(samples)
-    pos, tan = cloud.positions, cloud.tangents
+    pos, tan = samples.positions, samples.tangents
 
     def fit(chunk):
         u, v, _, _ = _distinct_pairs(pos, chunk)
@@ -461,4 +421,4 @@ def build_geodesic_graph(samples, neighbors: NeighborSystem) -> TubularGraph:
         return u.astype(np.int32), v.astype(np.int32), w
 
     tails, heads, weights = _map_pair_chunks(fit, neighbors.pairs)
-    return TubularGraph(cloud, tails, heads, weights, mode="geodesic")
+    return TubularGraph(samples, tails, heads, weights, mode="geodesic")

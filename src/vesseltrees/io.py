@@ -305,10 +305,10 @@ def write_csv_columns(path, header, columns):
     _write_rows(path, [",".join(header)], columns, ",")
 
 
-def read_csv(path):
-    """``(header, rows)`` of a CSV, blank lines skipped; a file without a
-    header, or a row of another length, raises ValueError naming the file
-    and the row's line."""
+def read_csv_lines(path):
+    """``(header, [(line, row), ...])`` of a CSV, blank lines skipped; a
+    file without a header, or a row of another length, raises ValueError
+    naming the file and the row's line."""
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -319,8 +319,14 @@ def read_csv(path):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected "
                                  f"{len(header)} cells, got {len(row)}")
-            rows.append(row)
+            rows.append((reader.line_num, row))
     return header, rows
+
+
+def read_csv(path):
+    """``(header, rows)`` of ``read_csv_lines``, without the lines."""
+    header, rows = read_csv_lines(path)
+    return header, [row for _, row in rows]
 
 
 def write_neighbor_pairs(path, system):

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import batch_arc_points
-from .graphs import NeighborSystem, _query_workers, as_cloud
+from .geometry import SampleCloud, batch_arc_points
+from .graphs import NeighborSystem, _query_workers
 from .synth import GroundTruthTree
 
 DEFAULT_STEP = 0.25
@@ -55,8 +55,8 @@ class MatchTolerance:
     uses_radius: bool = True
 
     def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError("zeta must be > 0")
+        if not 0 < self.zeta < math.inf:  # written so that NaN fails it
+            raise ValueError(f"zeta must be finite and > 0, got {self.zeta}")
 
     def for_radii(self, radii) -> np.ndarray:
         if self.uses_radius and radii is not None:
@@ -91,8 +91,8 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
     truth along its polylines. Radii are interpolated for trees that carry
     them. All edges are evaluated in one array pass.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not 0 < step < math.inf:  # written so that NaN fails it
+        raise ValueError(f"step must be finite and > 0, got {step}")
     radii = tree.radii
     childs = tree.edge_children()
     if childs.size == 0:
@@ -322,15 +322,16 @@ def project_to_tree(gt: GroundTruthTree, points, chunk: int = 4096):
     return out_edge, out_frac, out_dist
 
 
-def connectivity_roc(gt: GroundTruthTree, neighbors: NeighborSystem, samples):
-    """Score a neighbor system against the tree's ancestry structure.
+def connectivity_roc(gt: GroundTruthTree, neighbors: NeighborSystem,
+                     samples: SampleCloud):
+    """Score the neighbor system of a ``SampleCloud`` by the tree's ancestry.
 
     An edge is correct iff its endpoint projections onto the tree lie on
     one root-to-leaf line. Recall is the fraction of total tree length
     covered by correct edges' projected spans; fall-out is the fraction of
     incorrect edges.
     """
-    edge, frac, _ = project_to_tree(gt, as_cloud(samples).positions)
+    edge, frac, _ = project_to_tree(gt, samples.positions)
     parent = gt.parent
     # A projection within _SNAP_FRAC of an edge end is on that node;
     # low/high is the tree node at or just below/above each projection.

@@ -22,6 +22,7 @@ from itertools import groupby
 import numpy as np
 
 from . import io as vio
+from .geometry import batch_arc_geometry
 from .graphs import anisotropic_knn, build_confluent_graph, \
     build_geodesic_graph, knn_neighbors, widen_neighbors
 # bifurcation_roc, centerline_roc and median_angular_error are not called
@@ -103,6 +104,8 @@ def resolve_root(cloud, root_index=None, root_at=None) -> int:
     if root_at is None:
         raise ValueError("no root given: pass a root index or coordinates")
     target = np.asarray(root_at, dtype=float).reshape(3)
+    if not np.all(np.isfinite(target)):
+        raise ValueError(f"root_at must be finite, got {target.tolist()}")
     return int(np.argmin(np.linalg.norm(cloud.positions - target, axis=1)))
 
 
@@ -630,7 +633,9 @@ def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
     if cfg.mode == "confluent":
         graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
                                       elastic_lambda=cfg.elastic_lambda)
-        alpha, length, _ = graph.arc_geometry(graph.tails, graph.heads)
+        _, alpha, length, _ = batch_arc_geometry(
+            cloud.positions[graph.tails], cloud.tangents[graph.tails],
+            cloud.positions[graph.heads])
         vio.write_csv_columns(
             out_path, ["tail", "head", "weight", "alpha", "length"],
             [graph.tails, graph.heads, graph.weights, alpha, length])
@@ -641,25 +646,34 @@ def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
     return {"n_arcs": int(graph.n_arcs)}
 
 
+def _read_aggregate(path):
+    """Header and ``{level: metric cells}`` of an ``aggregate.csv``, as
+    numbers; a cell that is none raises ValueError naming its line."""
+    header, rows = vio.read_csv_lines(path)
+    by_level = {}
+    for line, row in rows:
+        try:
+            by_level[int(row[0])] = [float(cell) for cell in row[3:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+    return header, by_level
+
+
 def compare_runs(eval_a_dir, eval_b_dir, out_path, label_a="a", label_b="b"):
     """Merge two evaluation outputs into one per-level comparison CSV."""
-    header_a, rows_a = vio.read_csv(os.path.join(eval_a_dir, "aggregate.csv"))
-    header_b, rows_b = vio.read_csv(os.path.join(eval_b_dir, "aggregate.csv"))
+    path_a = os.path.join(eval_a_dir, "aggregate.csv")
+    path_b = os.path.join(eval_b_dir, "aggregate.csv")
+    header_a, by_level_a = _read_aggregate(path_a)
+    header_b, by_level_b = _read_aggregate(path_b)
     if header_a != header_b:
-        raise ValueError("aggregate CSV headers differ between runs")
-    by_level_a = {row[0]: row for row in rows_a}
-    by_level_b = {row[0]: row for row in rows_b}
-    shared = sorted(set(by_level_a) & set(by_level_b), key=int)
+        raise ValueError(f"{path_b}: header differs from that of {path_a}")
+    shared = sorted(set(by_level_a) & set(by_level_b))
     if not shared:
         raise ValueError("runs share no evaluation levels")
-    metrics = header_a[3:]
     out_header = ["level", "metric", label_a, label_b,
                   f"delta_{label_b}_minus_{label_a}"]
-    out_rows = []
-    for level in shared:
-        for j, name in enumerate(metrics, start=3):
-            va = float(by_level_a[level][j])
-            vb = float(by_level_b[level][j])
-            out_rows.append((int(level), name, va, vb, vb - va))
+    out_rows = [(level, name, va, vb, vb - va) for level in shared
+                for name, va, vb in zip(header_a[3:], by_level_a[level],
+                                        by_level_b[level])]
     vio.write_csv(out_path, out_header, out_rows)
     return out_rows

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import batch_arc_geometry
 from .graphs import TubularGraph
 from .trees import EXCLUDED, NO_PARENT, ParentTree, reachable_mask
 
@@ -235,25 +236,27 @@ def _tree_from_parent(graph: TubularGraph, parent, arc_index, root,
     edge_alpha = np.full(n, np.nan)
     edge_length = np.full(n, np.nan)
     start_tan = None
+    pos, tan = graph.samples.positions, graph.samples.tangents
     has_edge = np.flatnonzero(parent >= 0)
     if has_edge.size:
         arcs = arc_index[has_edge]
         edge_weight[has_edge] = graph.weights[arcs]
+        tails = parent[has_edge]
         if directed:
-            alpha, length, _ = graph.arc_geometry(parent[has_edge], has_edge)
+            # fitted as the graph builder fits them, so bit-equal to its arcs
+            _, alpha, length, _ = batch_arc_geometry(pos[tails], tan[tails],
+                                                     pos[has_edge])
             edge_alpha[has_edge] = alpha
             edge_length[has_edge] = length
             start_tan = np.full((n, 3), np.nan)
-            start_tan[has_edge] = graph.samples.tangents[parent[has_edge]]
+            start_tan[has_edge] = tan[tails]
         else:
-            chord = np.linalg.norm(graph.samples.positions[has_edge]
-                                   - graph.samples.positions[parent[has_edge]],
-                                   axis=1)
+            chord = np.linalg.norm(pos[has_edge] - pos[tails], axis=1)
             edge_alpha[has_edge] = 0.0
             edge_length[has_edge] = chord
     total = float(np.sum(edge_weight[has_edge])) if has_edge.size else 0.0
     return VesselTree(root=int(root), parent=parent,
-                      positions=graph.samples.positions.copy(),
+                      positions=pos.copy(),
                       edge_weight=edge_weight, edge_alpha=edge_alpha,
                       edge_length=edge_length, total_weight=total,
                       edge_start_tangent=start_tan)

@@ -79,8 +79,10 @@ def generate_tree(n_leaves: int, domain_size: float = 100.0, seed: int = 0,
     """
     if n_leaves < 2:
         raise ValueError("n_leaves must be >= 2")
-    rng = np.random.default_rng(seed)
     size = float(domain_size)
+    if not 0 < size < np.inf:  # written so that NaN fails it
+        raise ValueError(f"domain_size must be finite and > 0, got {size}")
+    rng = np.random.default_rng(seed)
 
     # Every split adds two nodes, so the tree ends with 2 n_leaves nodes.
     # Only node 0, the root, has no parent: the segments are always the
@@ -149,11 +151,13 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be > 0")
+        if not 0 < self.spacing < np.inf:  # NaN fails each check
+            raise ValueError(f"spacing must be finite and > 0, "
+                             f"got {self.spacing}")
         for name in ("position_noise_std", "tangent_noise_std_rad"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
         for name in ("orientation_flip_prob", "dropout_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")

@@ -275,12 +275,15 @@ def test_error_exits_are_nonzero(tmp_path, capsys):
                 str(tmp_path / "c2")]) == 1
 
 
-@pytest.mark.parametrize("case", ["cloud", "tree", "csv", "config"])
+@pytest.mark.parametrize("case", ["cloud", "tree", "csv", "config",
+                                  "csv-cell", "csv-header"])
 def test_bad_input_is_one_error_line_naming_the_file(tmp_path, capsys,
                                                      case):
     # exit 1 and one "error: <path>..." line on stderr, never a traceback:
     # a cloud row of 3 columns, a tree with a bare root line, an empty
-    # aggregate.csv and a config value its flag refuses
+    # aggregate.csv, a config value its flag refuses, an aggregate.csv
+    # cell that is no number (named with its line) and two aggregate.csv
+    # headers that differ (both files named)
     if case == "cloud":
         bad = tmp_path / "cloud.txt"
         bad.write_text("0 0 0 1 0 0\n1 2 3\n")
@@ -304,15 +307,66 @@ def test_bad_input_is_one_error_line_naming_the_file(tmp_path, capsys,
         bad = tmp_path / "a" / "aggregate.csv"
         argv = ["compare", "--eval-a", str(tmp_path / "a"), "--eval-b",
                 str(tmp_path / "b"), "--out", str(tmp_path / "c.csv")]
-    else:
+    elif case == "config":
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps({"k": "many"}))
         argv = ["--config", str(bad), "reconstruct", "--corpus", "c",
                 "--out", str(tmp_path / "run")]
+    else:
+        header = "level,threshold,n_trees,mean_centerline_recall\n"
+        texts = {"a": header + "0,0.0,2,0.5\n",
+                 "b": header + "\n0,0.0,2,0.5\n1,0.1,2,x\n"}
+        if case == "csv-header":
+            texts["b"] = header.replace("recall", "fallout") + "0,0.0,2,0.5\n"
+        for name, text in texts.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "aggregate.csv").write_text(text)
+        bad = tmp_path / "b" / "aggregate.csv"
+        if case == "csv-cell":
+            bad = f"{bad}:4: could not convert string to float: 'x'"
+        else:
+            bad = f"{bad}: header differs from that of {tmp_path / 'a'}"
+        argv = ["compare", "--eval-a", str(tmp_path / "a"), "--eval-b",
+                str(tmp_path / "b"), "--out", str(tmp_path / "c.csv")]
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}")
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("reconstruct", "root-at", "nan,0,0"),
+    ("evaluate", "zeta", "nan"),
+    ("evaluate", "zeta", "inf"),
+    ("evaluate", "step", "nan"),
+    ("synth", "domain-size", "nan"),
+    ("synth", "domain-size", "inf"),
+    ("synth", "spacing", "nan"),
+    ("synth", "position-noise", "nan"),
+    ("synth", "tangent-noise", "inf"),
+], ids=["root-at-nan", "zeta-nan", "zeta-inf", "step-nan", "domain-size-nan",
+        "domain-size-inf", "spacing-nan", "position-noise-nan",
+        "tangent-noise-inf"])
+def test_non_finite_values_are_one_error_line(tmp_path, capsys, command,
+                                              flag, text):
+    # NaN fails every range check: each value is refused with one line
+    # naming it, where it would run on, warn or end in a traceback
+    corpus, recon = tmp_path / "corpus", tmp_path / "run"
+    if command != "synth":
+        small_synth(corpus)
+        assert run(["reconstruct", "--corpus", str(corpus), "--out",
+                    str(recon), "--k", "30"]) == 0
+    args = {"synth": ["--out", str(tmp_path / "c2"), "--n-trees", "1"],
+            "reconstruct": ["--corpus", str(corpus), "--out",
+                            str(tmp_path / "run2")],
+            "evaluate": ["--corpus", str(corpus), "--recon", str(recon),
+                         "--out", str(tmp_path / "eval")]}[command]
+    capsys.readouterr()
+    assert run([command, *args, f"--{flag}", text]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert flag.replace("-", "_") in err[0] and "must be finite" in err[0]
+    assert f"got {text[:3]}" in err[0].replace("[", "")
 
 
 @pytest.mark.parametrize("values", [

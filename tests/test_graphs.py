@@ -1,6 +1,7 @@
 """Tests for neighbor systems and tubular graph construction."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.spatial import cKDTree
 from vesseltrees import graphs
 from vesseltrees.geometry import (
     COINCIDENT_TOL,
-    OrientedSample,
     SampleCloud,
     arc_weight,
     batch_arc_geometry,
@@ -421,16 +421,6 @@ def test_mst_on_straight_line_recovers_path():
     assert np.all(tree.parent[1:] == np.arange(n - 1))
 
 
-def test_oriented_sample_list_accepted():
-    samples = [
-        OrientedSample([0, 0, 0], [1, 0, 0]),
-        OrientedSample([1, 0, 0], [1, 0, 0]),
-        OrientedSample([2, 0, 0], [1, 0, 0]),
-    ]
-    system = knn_neighbors(samples, k=1)
-    assert pairs_set(system) == {(0, 1), (1, 2)}
-
-
 def reference_confluent_arcs(cloud, pairs, epsilon, elastic_lambda):
     """Arcs as the two-direction kernel loop fits them: each direction
     gathers its endpoints and goes through batch_arc_geometry,
@@ -514,6 +504,10 @@ def test_confluent_graph_bit_identical_to_two_direction_loop(epsilon,
         assert ((8, 9) in arcs) == (epsilon == math.pi)
 
 
+def refuse_thread_start(thread):
+    raise AssertionError(f"started thread {thread.name}")
+
+
 def test_confluent_graph_output_independent_of_chunks_and_threads(
         monkeypatch):
     rng = np.random.default_rng(22)
@@ -522,15 +516,14 @@ def test_confluent_graph_output_independent_of_chunks_and_threads(
     expected = reference_confluent_arcs(cloud, system.pairs, math.pi / 2,
                                         0.1)
     expected_geo = reference_geodesic_edges(cloud, system.pairs)
+    # the chunks run in the calling thread: starting any thread fails
+    monkeypatch.setattr(threading.Thread, "start", refuse_thread_start)
     for chunk in (1, 7, system.n_pairs):
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
-            monkeypatch.setattr(graphs, "_usable_cpus", lambda: workers)
-            graph = build_confluent_graph(cloud, system, epsilon=math.pi / 2,
-                                          elastic_lambda=0.1)
-            assert_same_arcs(graph, expected)
-            assert_same_arcs(build_geodesic_graph(cloud, system),
-                             expected_geo)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
+        graph = build_confluent_graph(cloud, system, epsilon=math.pi / 2,
+                                      elastic_lambda=0.1)
+        assert_same_arcs(graph, expected)
+        assert_same_arcs(build_geodesic_graph(cloud, system), expected_geo)
 
 
 def test_geodesic_graph_matches_reference_on_knn_clouds():
