@@ -188,8 +188,9 @@ def arc_weight(arc: FlowArc, tangent_at_end, epsilon: float,
     """
     if not 0.0 < epsilon <= math.pi:
         raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
-    if elastic_lambda < 0.0:
-        raise ValueError(f"elastic_lambda must be >= 0, got {elastic_lambda}")
+    if not 0.0 <= elastic_lambda < math.inf:   # NaN fails it
+        raise ValueError(f"elastic_lambda must be finite and >= 0, "
+                         f"got {elastic_lambda}")
     if arc.degenerate:
         return math.inf
     angle = confluence_angle(arc, tangent_at_end)

@@ -285,8 +285,9 @@ def anisotropic_knn(samples: SampleCloud, k_final: int = 4,
     n = len(samples)
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
-    if aspect_ratio_sq < 1.0:
-        raise ValueError("aspect_ratio_sq must be >= 1")
+    if not 1.0 <= aspect_ratio_sq < math.inf:   # NaN fails it
+        raise ValueError(f"aspect_ratio_sq must be finite and >= 1, "
+                         f"got {aspect_ratio_sq}")
     k_candidate = _clamp_k(k_candidate, n, "k_candidate")
     k_final = min(_clamp_k(k_final, n, "k_final"), k_candidate)
     pos = samples.positions
@@ -365,8 +366,9 @@ def build_confluent_graph(samples: SampleCloud, neighbors: NeighborSystem,
     """
     if not 0.0 < epsilon <= math.pi:
         raise ValueError(f"epsilon must be in (0, pi], got {epsilon}")
-    if elastic_lambda < 0.0:
-        raise ValueError("elastic_lambda must be >= 0")
+    if not 0.0 <= elastic_lambda < math.inf:   # NaN fails it
+        raise ValueError(f"elastic_lambda must be finite and >= 0, "
+                         f"got {elastic_lambda}")
     pos, tan = samples.positions, samples.tangents
 
     def fit(chunk):

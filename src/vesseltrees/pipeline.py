@@ -90,8 +90,12 @@ class PipelineConfig:
                              f"got {self.mode!r}")
         if not 0.0 < self.epsilon <= math.pi:
             raise ValueError(f"epsilon must be in (0, pi], got {self.epsilon}")
-        if self.elastic_lambda < 0:
-            raise ValueError("elastic_lambda must be >= 0")
+        if not 0.0 <= self.elastic_lambda < math.inf:   # NaN fails it
+            raise ValueError(f"elastic_lambda must be finite and >= 0, "
+                             f"got {self.elastic_lambda}")
+        if not 1.0 <= self.aspect_ratio_sq < math.inf:
+            raise ValueError(f"aspect_ratio_sq must be finite and >= 1, "
+                             f"got {self.aspect_ratio_sq}")
 
 
 def resolve_root(cloud, root_index=None, root_at=None) -> int:

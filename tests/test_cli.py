@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vesseltrees
+from vesseltrees import io as vio
 from vesseltrees.cli import main
 from vesseltrees.io import read_csv, read_json, read_neighbor_pairs, \
     read_point_cloud, read_tree
@@ -344,9 +345,14 @@ def test_bad_input_is_one_error_line_naming_the_file(tmp_path, capsys,
     ("synth", "spacing", "nan"),
     ("synth", "position-noise", "nan"),
     ("synth", "tangent-noise", "inf"),
+    ("reconstruct", "elastic-lambda", "nan"),
+    ("reconstruct", "elastic-lambda", "inf"),
+    ("reconstruct", "aspect-ratio-sq", "nan"),
+    ("reconstruct", "aspect-ratio-sq", "inf"),
 ], ids=["root-at-nan", "zeta-nan", "zeta-inf", "step-nan", "domain-size-nan",
         "domain-size-inf", "spacing-nan", "position-noise-nan",
-        "tangent-noise-inf"])
+        "tangent-noise-inf", "elastic-lambda-nan", "elastic-lambda-inf",
+        "aspect-ratio-sq-nan", "aspect-ratio-sq-inf"])
 def test_non_finite_values_are_one_error_line(tmp_path, capsys, command,
                                               flag, text):
     # NaN fails every range check: each value is refused with one line
@@ -367,6 +373,28 @@ def test_non_finite_values_are_one_error_line(tmp_path, capsys, command,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert flag.replace("-", "_") in err[0] and "must be finite" in err[0]
     assert f"got {text[:3]}" in err[0].replace("[", "")
+
+
+def test_numpy_and_per_cell_writers_give_the_same_files(tmp_path, monkeypatch):
+    # a corpus whose cloud, ground-truth tree, tree and neighbour CSV all
+    # have more rows than _VECTOR_ROWS, written at the real threshold and
+    # again with every cell through str
+    hashes, threshold = [], vio._VECTOR_ROWS
+    for rows in (threshold, math.inf):
+        monkeypatch.setattr(vio, "_VECTOR_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert run(["synth", "--out", str(out / "corpus"), "--n-trees", "1",
+                    "--n-leaves", "256", "--seed", "3", "--domain-size",
+                    "120"]) == 0
+        assert run(["reconstruct", "--corpus", str(out / "corpus"), "--out",
+                    str(out / "run"), "--k", "30", "--dump-neighbors"]) == 0
+        hashes.append(file_hashes(out, skip_dirs=("stats",)))
+    names = {"corpus/clouds/cloud_000_l00.txt", "corpus/trees/tree_000.txt",
+             "run/trees/recon_000_l00.txt", "run/neighbors/recon_000_l00.csv"}
+    assert names <= hashes[0].keys() and hashes[0] == hashes[1]
+    for name in names:
+        with open(out / name) as fh:
+            assert sum(1 for _ in fh) > threshold + 3
 
 
 @pytest.mark.parametrize("values", [

@@ -191,8 +191,9 @@ def test_weight_parameter_validation():
     arc = fit_arc(p, [1, 0, 0])
     with pytest.raises(ValueError):
         arc_weight(arc, [1, 0, 0], epsilon=0.0)
-    with pytest.raises(ValueError):
-        arc_weight(arc, [1, 0, 0], epsilon=1.0, elastic_lambda=-0.5)
+    for value in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="elastic_lambda must be finite"):
+            arc_weight(arc, [1, 0, 0], epsilon=1.0, elastic_lambda=value)
 
 
 def test_asymmetric_lengths_both_confluent():

@@ -283,6 +283,18 @@ def test_widen_neighbors_matches_per_node_queries():
         widen_neighbors(cloud, base, [0], 200)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_weight_and_ratio_checks_refuse_non_finite_values(value):
+    # NaN would make every arc weight or rescored distance NaN and run on
+    cloud = random_cloud(np.random.default_rng(0), 20)
+    with pytest.raises(ValueError, match="elastic_lambda must be finite"):
+        build_confluent_graph(cloud, knn_neighbors(cloud, 4), math.pi / 2,
+                              elastic_lambda=value)
+    with pytest.raises(ValueError, match="aspect_ratio_sq must be finite"):
+        anisotropic_knn(cloud, k_final=3, k_candidate=6,
+                        aspect_ratio_sq=value)
+
+
 def test_anisotropic_tie_at_the_k_final_boundary(monkeypatch):
     # Node 0 flows along x. Samples 1 to 4 lie at unit distance across
     # the flow, all tied at rescored distance 1, behind the on-axis sample

@@ -1,7 +1,9 @@
 """Round-trip tests for the text file formats."""
 
+import itertools
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -261,7 +263,9 @@ def test_row_blocks_give_the_bytes_of_cells(tmp_path, monkeypatch):
     tree = minimum_arborescence(build_confluent_graph(
         cloud, knn_neighbors(cloud, 8), epsilon=math.pi / 2), 0)
     ints = np.arange(len(cloud)) * 7
-    for block in (1, 7, len(cloud)):
+    # every block in numpy passes, then every block cell by cell
+    for rows, block in itertools.product((1, math.inf), (1, 7, len(cloud))):
+        monkeypatch.setattr(vio, "_VECTOR_ROWS", rows)
         monkeypatch.setattr(vio, "_ROW_BLOCK", block)
         write_point_cloud(tmp_path / "cloud.txt", cloud)
         assert (tmp_path / "cloud.txt").read_text() == cloud_text(cloud)
@@ -387,10 +391,105 @@ def test_integer_tables_give_the_bytes_of_cells(tmp_path, monkeypatch, sep):
         expected = "".join(
             f"{sep.join(str(int(column[i])) for column in columns)}\n"
             for i in range(rows))
-        for block in (1, 7, max(rows, 1)):
+        for vector_rows, block in itertools.product(
+                (1, math.inf), (1, 7, max(rows, 1))):
+            monkeypatch.setattr(vio, "_VECTOR_ROWS", vector_rows)
             monkeypatch.setattr(vio, "_ROW_BLOCK", block)
             vio._write_rows(path, ["# a b c"], columns, sep)
             assert path.read_bytes() == ("# a b c\n" + expected).encode()
+
+
+def awkward_floats(rng, n):
+    """Float64 cells of every kind ``_numeric_rows_text`` must write as
+    ``str`` does, either sign: random magnitudes, decimals and bit
+    patterns; the edges of its fast range and of ``repr``'s exponent form,
+    each with its neighbours; every power of two with its neighbours;
+    exact ties between two shortest decimals; zeros and non-finite
+    values."""
+    edges = np.array([5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15,
+                      1e16, 1.7976931348623157e308])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    cells = np.concatenate([
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges[:-1], np.inf),
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers[:-1], np.inf),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 2.675, 700.0, 1 / 3],
+        exact_ties(rng, 64),
+        10.0 ** rng.uniform(-324.0, 300.0, n),   # 0.0 below 5e-324
+        rng.normal(size=n), rng.uniform(-1e3, 1e3, n),
+        rng.integers(0, 10 ** 6, n) / 10.0 ** rng.integers(0, 7, n),
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+    ])
+    sign = rng.integers(0, 2, cells.size, dtype=np.uint64) << np.uint64(63)
+    return (cells.view(np.uint64) ^ sign).view(np.float64)  # NaN too
+
+
+def exact_ties(rng, n):
+    """Floats halfway between their two nearest 17-digit decimals, such
+    as 3483597379286.6562 (= 3483597379286.65625), where every 16-digit
+    decimal lies outside the interval that reads back as the float."""
+    whole = rng.integers(2 ** 41, 2 ** 42, n).astype(float)
+    return np.append(whole + (2 * rng.integers(0, 16, n) + 1) / 32,
+                     3483597379286.6562)
+
+
+def str_rows(columns, sep):
+    """The reference rows: ``str`` of every cell that ``tolist`` gives."""
+    return "".join(sep.join(map(str, row)) + "\n"
+                   for row in zip(*(column.tolist() for column in columns)))
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_numpy_rows_give_the_bytes_of_str_cells(tmp_path, monkeypatch, sep):
+    monkeypatch.setattr(vio, "_VECTOR_ROWS", 1)
+    path = tmp_path / "cells.txt"
+    ints = np.array([0, 1, -1, 9, 10, -10, 2 ** 31 - 1, -2 ** 31, 10 ** 18,
+                     2 ** 63 - 1, -2 ** 63], dtype=np.int64)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        wide = awkward_floats(rng, 2000)
+        n = wide.size
+        narrow = np.concatenate([
+            rng.integers(0, 2 ** 32, n // 2, dtype=np.uint32)
+            .view(np.float32), rng.normal(size=n - n // 2)
+            .astype(np.float32)])
+        columns = [rng.permutation(wide), np.resize(ints, n), narrow,
+                   np.resize(ints.astype(np.int32, casting="unsafe"), n),
+                   wide]
+        for rows, block in ((n, n), (30, 1), (30, 7)):
+            monkeypatch.setattr(vio, "_ROW_BLOCK", block)
+            head = [column[:rows] for column in columns]
+            vio._write_rows(path, [], head, sep)
+            assert path.read_text() == str_rows(head, sep)
+
+
+def is_tie(x):
+    """Whether a second decimal as short as ``repr(x)`` reads back as ``x``
+    and lies exactly as near it."""
+    text = Decimal(repr(x)).normalize()
+    step = Decimal(1).scaleb(text.as_tuple().exponent)
+    other = text + step if Decimal(x) > text else text - step
+    return float(other) == x and abs(Decimal(x) - text) == \
+        abs(Decimal(x) - other)
+
+
+def test_shortest_digits_prove_every_cell_in_range_but_ties():
+    # ``str`` writes only the cells the exact path does not prove: out of
+    # [1e-4, 1e15), or a tie, which is common only for large cells
+    digits, count, decpt, ok = vio._shortest_digits(
+        np.array([0.1, 2.675, 700.0, 1e-4, 999999999999999.9]))
+    assert digits.tolist() == [1, 2675, 7, 1, 9999999999999999]
+    assert count.tolist() == [1, 4, 1, 1, 16]
+    assert decpt.tolist() == [0, 1, 3, -3, 15] and ok.all()
+    rng = np.random.default_rng(0)
+    cells = 10.0 ** rng.uniform(-4.0, 15.0, 20_000)
+    cells[::2] *= -1.0
+    ok = vio._shortest_digits(cells)[3]
+    assert 0 < (~ok).sum() < 2000
+    assert all(map(is_tie, cells[~ok].tolist()))
+    assert not any(map(is_tie, cells[ok][:2000].tolist()))
+    ties = exact_ties(rng, 64)
+    assert not vio._shortest_digits(ties)[3].any()
+    assert all(map(is_tie, ties.tolist()))
 
 
 def test_neighbor_pairs_must_not_repeat(tmp_path):

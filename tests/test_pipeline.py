@@ -36,8 +36,12 @@ def test_pipeline_config_validation():
         PipelineConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(epsilon=4.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(elastic_lambda=-1.0)
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="elastic_lambda must be finite"):
+            PipelineConfig(elastic_lambda=value)
+    for value in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="aspect_ratio_sq must be finite"):
+            PipelineConfig(aspect_ratio_sq=value)
 
 
 def crossing_branch_cloud(theta_deg=30.0, n_chain=4, spacing=1.0):
