@@ -9,14 +9,16 @@ extrapolated flow agrees with the flow estimate at the far end.
 
 Scalar functions here are the reference implementations used by tests and
 small-scale callers; the ``batch_*`` kernels are the vectorized versions the
-graph builder and the tree resampler run on large row arrays. The two are
-kept independent so one can cross-check the other.
+graph builder runs on large row arrays, and ``arc_frames`` fits arcs once
+for the tree resampler, which evaluates them in blocks of points. The two
+are kept independent so one can cross-check the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,6 +269,84 @@ def batch_arc_geometry(p_pos, p_tan, q_pos):
     return d, alpha, length, end_tan
 
 
+class ArcFrames(NamedTuple):
+    """The constants of ``arc_points`` on each of M arcs, from
+    ``arc_frames``: c(s) = ``start + s chord`` on a ``straight`` row, else
+    ``centre + cos(turn s) radial + sin(turn s) tangential``.
+
+    ``radial`` is p - centre, ``tangential`` the circle radius times the
+    start tangent, ``turn`` 2 alpha; the three and ``centre`` are NaN on
+    straight rows.
+    """
+
+    start: np.ndarray
+    chord: np.ndarray
+    centre: np.ndarray
+    radial: np.ndarray
+    tangential: np.ndarray
+    turn: np.ndarray
+    straight: np.ndarray
+
+
+def arc_frames(p_pos, p_tan, q_pos, on_arc=None) -> ArcFrames:
+    """Fit the arc p[i] -> q[i] of each row of ``on_arc``, every row by
+    default, once for all the points later evaluated on it.
+
+    The other rows, and the rows whose start tangent lies along the chord,
+    are straight: the chord itself. ``p_tan`` is read only on the rows of
+    ``on_arc``. Raises ``DegenerateInputError`` if one of those has
+    coincident endpoints or an anti-parallel start tangent, like
+    ``arc_points``.
+    """
+    p = np.asarray(p_pos, float).reshape(-1, 3)
+    chord = np.asarray(q_pos, float).reshape(-1, 3) - p
+    centre, radial, tangential = (np.full_like(p, np.nan) for _ in range(3))
+    turn = np.full(p.shape[0], np.nan)
+    straight = np.ones(p.shape[0], bool)
+    rows = (np.arange(p.shape[0]) if on_arc is None
+            else np.flatnonzero(on_arc))
+    if rows.size:
+        t = np.asarray(p_tan, float).reshape(-1, 3)[rows]
+        d = np.linalg.norm(chord[rows], axis=1)
+        if np.any(d <= COINCIDENT_TOL):
+            raise DegenerateInputError("arc endpoints coincide")
+        e = chord[rows] / d[:, None]
+        cos_a = np.clip(np.einsum("ij,ij->i", t, e), -1.0, 1.0)
+        alpha = np.arccos(cos_a)
+        if np.any(alpha >= ALPHA_DEGENERATE):
+            raise DegenerateInputError("degenerate arc has no "
+                                       "parameterization")
+        b_raw = e - cos_a[:, None] * t
+        b_norm = np.linalg.norm(b_raw, axis=1)
+        # a circle needs a normal to t on the chord side and a finite radius
+        bent = ~((b_norm < 1e-12) | (alpha == 0.0))
+        rows = rows[bent]
+        b = b_raw[bent] / b_norm[bent, None]
+        radius = d[bent] / (2.0 * np.sin(alpha[bent]))
+        centre[rows] = p[rows] + radius[:, None] * b
+        radial[rows] = p[rows] - centre[rows]
+        tangential[rows] = radius[:, None] * t[bent]
+        turn[rows] = 2.0 * alpha[bent]
+        straight[rows] = False
+    return ArcFrames(p, chord, centre, radial, tangential, turn, straight)
+
+
+def arc_frame_points(frames: ArcFrames, rows, s, out=None) -> np.ndarray:
+    """c(s[i]) on arc ``rows[i]`` of ``frames``, written to ``out`` (an
+    (M, 3) float array) if given."""
+    s = np.asarray(s, float).reshape(-1)
+    out = np.add(frames.start[rows], s[:, None] * frames.chord[rows],
+                 out=out)
+    on = np.flatnonzero(~frames.straight[rows])
+    if on.size:
+        arc, s = rows[on], s[on]
+        theta = frames.turn[arc] * s
+        out[on] = (frames.centre[arc]
+                   + np.cos(theta)[:, None] * frames.radial[arc]
+                   + np.sin(theta)[:, None] * frames.tangential[arc])
+    return out
+
+
 def batch_arc_points(p_pos, p_tan, q_pos, s) -> np.ndarray:
     """Row-wise ``arc_points``: row i is c(s[i]) on the arc p[i] -> q[i].
 
@@ -274,31 +354,8 @@ def batch_arc_points(p_pos, p_tan, q_pos, s) -> np.ndarray:
     Raises ``DegenerateInputError`` if any row has coincident endpoints or
     an anti-parallel start tangent, like the scalar version.
     """
-    p = np.asarray(p_pos, float).reshape(-1, 3)
-    t = np.asarray(p_tan, float).reshape(-1, 3)
-    s = np.asarray(s, float).reshape(-1)
-    chord = np.asarray(q_pos, float).reshape(-1, 3) - p
-    d = np.linalg.norm(chord, axis=1)
-    if np.any(d <= COINCIDENT_TOL):
-        raise DegenerateInputError("arc endpoints coincide")
-    e = chord / d[:, None]
-    cos_a = np.clip(np.einsum("ij,ij->i", t, e), -1.0, 1.0)
-    alpha = np.arccos(cos_a)
-    if np.any(alpha >= ALPHA_DEGENERATE):
-        raise DegenerateInputError("degenerate arc has no parameterization")
-    b_raw = e - cos_a[:, None] * t
-    b_norm = np.linalg.norm(b_raw, axis=1)
-    straight = (b_norm < 1e-12) | (alpha == 0.0)
-    # Straight rows produce inf/nan here and are replaced by the chord.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = b_raw / b_norm[:, None]
-        radius = d / (2.0 * np.sin(alpha))
-        center = p + radius[:, None] * b
-        theta = 2.0 * alpha * s
-        arc = (center
-               + np.cos(theta)[:, None] * (p - center)
-               + np.sin(theta)[:, None] * (radius[:, None] * t))
-    return np.where(straight[:, None], p + s[:, None] * chord, arc)
+    frames = arc_frames(p_pos, p_tan, q_pos)
+    return arc_frame_points(frames, np.arange(frames.start.shape[0]), s)
 
 
 def batch_confluence_angles(end_tangents, q_tan) -> np.ndarray:

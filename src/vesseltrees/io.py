@@ -4,9 +4,10 @@ Point clouds are whitespace-separated ``x y z tx ty tz [r]`` rows; tree
 files have a ``root <index>`` header line and per-node rows, ``node parent
 x y z radius`` for ground truth and ``node parent x y z alpha length
 weight`` for reconstructions (the root row carries ``nan`` edge fields).
-``#`` starts a comment in either format. The rows of both are read by one
-``np.loadtxt`` (see ``_read_rows``); only a file it fails on is read again
-line by line, for a message that names the first bad line.
+``#`` starts a comment in either format. A file is read as a list of
+lines, and one ``np.loadtxt`` parses the rows of either format from that
+list (see ``_read_rows``); only a file it fails on is walked again line
+by line, for a message that names the first bad line.
 
 Every table, the CSV reports included, is written column by column by
 ``_write_rows``. Floats are written with ``repr`` so every file round-trips
@@ -23,7 +24,6 @@ and an atomic rename.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
@@ -40,8 +40,14 @@ from .trees import EXCLUDED
 
 
 # Rows ``_write_rows`` formats at a time, so a file's cells are never all
-# held as Python objects at once.
-_ROW_BLOCK = 65_536
+# held at once: ``_numeric_rows_text`` needs about 130 bytes of temporaries
+# a cell. Measured on a 2-core Intel Xeon (tracemalloc peak, and the least
+# of 5 writes): the 173k-row tree and cloud of the paper-scale probe write
+# in 288 and 309 ms at 4096 rows, 296 and 305 ms at 8192, 334 and 335 ms at
+# 2048, 390 and 393 ms at 65,536 rows; the cloud's peak goes from 64 MB at
+# 65,536 rows to 4 MB at 4096. The 1.08M-row tree and cloud write in 1.68
+# and 1.80 s at 4096 rows against 2.38 and 2.32 s at 65,536 (least of 4).
+_ROW_BLOCK = 4096
 
 # A block of at least this many rows, all of its columns signed integers or
 # floats, is formatted in numpy passes by ``_numeric_rows_text``; a smaller
@@ -304,9 +310,9 @@ def _cells(line):
     return line.split("#", 1)[0].split()
 
 
-def _read_rows(path, text, widths, what, ids=False):
-    """The rows of the whitespace table ``text``, read by one
-    ``np.loadtxt``; ``#`` starts a comment.
+def _read_rows(path, lines, widths, what, ids=False):
+    """The rows of the whitespace table of the list of text ``lines``,
+    read by one ``np.loadtxt``; ``#`` starts a comment.
 
     Every row has the same width, one of the two ``widths``. The rows come
     back as an (n, width) float array or, with ``ids``, as a structured
@@ -315,7 +321,7 @@ def _read_rows(path, text, widths, what, ids=False):
     ValueError ``no <what> found``; one that does not load raises
     ValueError naming the file and its first bad line.
     """
-    width = len(next(filter(None, map(_cells, io.StringIO(text))), ()))
+    width = len(next(filter(None, map(_cells, lines)), ()))
     if not width:
         raise ValueError(f"{path}: no {what} found")
     error = None
@@ -323,11 +329,11 @@ def _read_rows(path, text, widths, what, ids=False):
         dtype = [("ids", np.int64, (2,)),
                  ("vals", float, (width - 2,))] if ids else float
         try:
-            return _loadtxt(io.StringIO(text), ndmin=1 if ids else 2,
+            return _loadtxt(lines, ndmin=1 if ids else 2,
                             comments="#", dtype=dtype)
         except ValueError as exc:
             error = exc
-    for line_no, line in enumerate(text.split("\n"), 1):
+    for line_no, line in enumerate(lines, 1):
         cells = _cells(line)
         if not cells:
             continue
@@ -349,7 +355,7 @@ def _read_rows(path, text, widths, what, ids=False):
 def read_point_cloud(path) -> SampleCloud:
     """Load a point cloud of 6- or 7-column rows (see ``_read_rows``)."""
     with open(path) as fh:
-        data = _read_rows(path, fh.read(), (6, 7), "samples")
+        data = _read_rows(path, fh.readlines(), (6, 7), "samples")
     radii = data[:, 6] if data.shape[1] == 7 else None
     return SampleCloud(data[:, 0:3], data[:, 3:6], radii)
 
@@ -364,9 +370,11 @@ def write_tree(path, tree):
         names = "alpha length weight"
         data = [tree.edge_alpha, tree.edge_length, tree.edge_weight]
     ids = tree.node_ids()
+    # a tree over every sample writes its columns as they are, not copies
+    rows = slice(None) if ids.size == tree.parent.size else ids
     lines += [f"root {tree.root}", f"# node parent x y z {names}"]
-    _write_rows(path, lines, [ids, tree.parent[ids], *tree.positions[ids].T,
-                              *(column[ids] for column in data)], " ")
+    _write_rows(path, lines, [ids, tree.parent[rows], *tree.positions[rows].T,
+                              *(column[rows] for column in data)], " ")
 
 
 def read_tree(path, cloud: SampleCloud | None = None):
@@ -375,13 +383,15 @@ def read_tree(path, cloud: SampleCloud | None = None):
     For reconstructed trees a sample cloud may be supplied to recover the
     per-edge arc geometry (start tangents); without it edges resample as
     straight chords while keeping the stored alpha/length/weight values.
+    Edges that store alpha 0, as every edge of a geodesic tree does,
+    resample as chords either way.
     The ``root <index>`` and ``# domain_size <value>`` lines may stand
     anywhere, the last of each counting; the node rows are read by
     ``_read_rows``. A malformed file, or a tree that fails ``validate()``,
     raises ValueError naming the file.
     """
     with open(path) as fh:
-        lines = fh.read().split("\n")
+        lines = fh.readlines()
     root = domain_size = None
     for line_no, line in enumerate(lines, 1):
         if "root" not in line and "# domain_size" not in line:
@@ -399,7 +409,7 @@ def read_tree(path, cloud: SampleCloud | None = None):
                              f"{line.strip()!r}") from None
     if root is None:
         raise ValueError(f"{path}: missing 'root <index>' header")
-    rows = _read_rows(path, "\n".join(lines), (6, 8), "nodes", ids=True)
+    rows = _read_rows(path, lines, (6, 8), "nodes", ids=True)
     ids, vals = rows["ids"], rows["vals"]
     nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth

@@ -3,12 +3,13 @@
 Point-matching metrics (centerline and bifurcation recall/fall-out) resample
 both trees uniformly and match points within ``max(radius, zeta)`` where
 zeta defaults to half a voxel diagonal. One evaluation call resamples
-each tree once, in one batched pass over all its edges, and one
-nearest-point query in each direction serves every tolerance scale of a
-sweep: the distances do not depend on the tolerance, so each scale is only
-a threshold on them. Bifurcation angular error matches every ground-truth
-branching to the closest reconstructed branching point with no distance
-cutoff and reports the median absolute angle difference.
+each tree once, fitting each arc once and evaluating the points in blocks
+of a bounded size, and one nearest-point query in each direction serves
+every tolerance scale of a sweep: the distances do not depend on the
+tolerance, so each scale is only a threshold on them. Bifurcation
+angular error matches every ground-truth branching to the closest
+reconstructed branching point with no distance cutoff and reports the
+median absolute angle difference.
 Connectivity recall/fall-out scores a neighbor system by whether its edges
 follow ancestor/descendant lines of the ground-truth tree, in array passes
 over all pairs: ancestry is a comparison of preorder entry/exit times, the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SampleCloud, batch_arc_points
+from .geometry import SampleCloud, arc_frame_points, arc_frames
 from .graphs import NeighborSystem, _query_workers
 from .synth import GroundTruthTree
 
@@ -45,6 +46,10 @@ DEFAULT_STEP = 0.25
 DEFAULT_ZETA = math.sqrt(2.0) / 2.0
 BRANCH_PROBE_LENGTH = 1.0
 _SNAP_FRAC = 1e-9
+# Output points ``resample_tree`` evaluates at a time. A ground-truth edge
+# is a long polyline (255 edges give 56k points on the large-k100
+# benchmark tree), so the blocks run over points, not edges.
+_RESAMPLE_BLOCK = 4096
 
 
 @dataclass
@@ -86,10 +91,14 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
     """Uniformly resample every edge; returns (points, radii-or-None).
 
     Points are spaced at most ``step`` apart in arc length with both edge
-    endpoints always included, edge by edge in ascending child order;
-    reconstructed trees are resampled along their arc geometry, ground
-    truth along its polylines. Radii are interpolated for trees that carry
-    them. All edges are evaluated in one array pass.
+    endpoints always included, edge by edge in ascending child order.
+    An edge with a start tangent and a stored alpha other than 0 is
+    resampled along its arc, every other edge along its chord: ground
+    truth polylines, and geodesic trees, whose edges store alpha 0.
+    Radii are interpolated for trees that carry them. Each arc is fitted
+    once (``geometry.arc_frames``), and the points are evaluated
+    ``_RESAMPLE_BLOCK`` at a time into the output arrays, so the
+    temporaries stay a few arrays of one block's rows, plus a few per edge.
     """
     if not 0 < step < math.inf:  # written so that NaN fails it
         raise ValueError(f"step must be finite and > 0, got {step}")
@@ -100,25 +109,28 @@ def resample_tree(tree, step: float = DEFAULT_STEP):
         return (pts, radii[[tree.root]].copy() if radii is not None else None)
     counts = np.maximum(
         1, np.ceil(tree.edge_lengths() / step).astype(np.int64))
-    # one row per output point: the edge it lies on and its arc fraction
-    edge = np.repeat(np.arange(childs.size), counts + 1)
     first = np.cumsum(counts + 1) - (counts + 1)
-    fracs = (np.arange(edge.size) - first[edge]) / counts[edge]
-    child = childs[edge]
-    par = tree.parent[child]
-    p = tree.positions[par]
-    q = tree.positions[child]
-    points = p + fracs[:, None] * (q - p)
-    tangents = tree.edge_start_tangent
+    size = int(first[-1] + counts[-1] + 1)
+    par = tree.parent[childs]
+    tangents, on_arc = tree.edge_start_tangent, np.zeros(childs.size, bool)
     if tangents is not None:
-        t = tangents[child]
-        on_arc = np.all(np.isfinite(t), axis=1)
-        if on_arc.any():
-            points[on_arc] = batch_arc_points(p[on_arc], t[on_arc],
-                                              q[on_arc], fracs[on_arc])
-    if radii is None:
-        return points, None
-    return points, (1 - fracs) * radii[par] + fracs * radii[child]
+        tangents = tangents[childs]
+        on_arc = (np.all(np.isfinite(tangents), axis=1)
+                  & (tree.edge_alpha[childs] != 0))
+    frames = arc_frames(tree.positions[par], tangents,
+                        tree.positions[childs], on_arc)
+    points = np.empty((size, 3))
+    out_radii = None if radii is None else np.empty(size)
+    for lo in range(0, size, _RESAMPLE_BLOCK):
+        # the edge each point lies on and its arc fraction
+        at = np.arange(lo, min(lo + _RESAMPLE_BLOCK, size))
+        edge = np.searchsorted(first, at, side="right") - 1
+        fracs = (at - first[edge]) / counts[edge]
+        arc_frame_points(frames, edge, fracs, out=points[lo:lo + at.size])
+        if radii is not None:
+            out_radii[lo:lo + at.size] = ((1 - fracs) * radii[par[edge]]
+                                          + fracs * radii[childs[edge]])
+    return points, out_radii
 
 
 def _nearest(gt_pts, rec_pts):

@@ -298,6 +298,7 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         if not certify or failed.size == 0:
             break
         neighbors = _widen_failing(cloud, neighbors, tree, failed, cap)
+        del graph, tree   # not held while the next round builds its own
         lap("neighbors_s")
     if certify:
         uncertified = check()

@@ -78,7 +78,8 @@ class VesselTree(ParentTree):
     Arrays are indexed by node id; nodes outside the tree have parent
     ``EXCLUDED`` and NaN edge data. ``edge_start_tangent[i]`` is the flow
     tangent at ``parent[i]`` defining the arc geometry of edge
-    ``parent[i] -> i``; when ``None`` all edges are straight chords.
+    ``parent[i] -> i``; when ``None`` all edges are straight chords, and so
+    is every edge whose ``edge_alpha`` is 0.
     """
 
     root: int
@@ -126,9 +127,9 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
     if arc_ids.size == 0:
         return parent, arc_index, potential
 
-    cur_t = tails[arc_ids].copy()
-    cur_h = heads[arc_ids].copy()
-    adj_w = weights[arc_ids].copy()
+    cur_t = tails[arc_ids]
+    cur_h = heads[arc_ids]
+    adj_w = weights[arc_ids]
 
     # Supernodes created by contraction get fresh ids above n_nodes. Every
     # node is contracted at most once, so one slot per id records its
@@ -172,11 +173,16 @@ def chu_liu_edmonds(n_nodes, tails, heads, weights, root):
         remap[members] = parent_super[members]
         adjust = in_cycle[cur_h]
         adj_w[adjust] -= best_w[cur_h[adjust]]
-        cur_t = remap[cur_t]
-        cur_h = remap[cur_h]
+        # in place: every id is in range, and the default mode="raise"
+        # would copy the output first
+        np.take(remap, cur_t, out=cur_t, mode="clip")
+        np.take(remap, cur_h, out=cur_h, mode="clip")
+        # one array at a time, so only one old array outlives its filter
         alive = cur_t != cur_h
-        arc_ids, cur_t, cur_h, adj_w = (arc_ids[alive], cur_t[alive],
-                                        cur_h[alive], adj_w[alive])
+        arc_ids = arc_ids[alive]
+        cur_t = cur_t[alive]
+        cur_h = cur_h[alive]
+        adj_w = adj_w[alive]
 
     # Expand the last round first, so each of its supernodes S already
     # holds its final entering arc and, in dual, the sum of y over S and

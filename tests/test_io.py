@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -515,3 +516,37 @@ def test_read_errors_name_the_file(tmp_path):
     path.write_text('{"items": [1,}')
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
         vio.read_json(path)
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()`` beyond its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_writer_working_set_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(3)
+    columns = [np.arange(40_000), rng.integers(-1, 40_000, 40_000),
+               *rng.normal(scale=300.0, size=(6, 40_000))]
+    peaks = [traced_peak(lambda: vio._write_rows(
+        tmp_path / "rows.txt", ["# head"], [c[:rows] for c in columns], " "))
+        for rows in (20_000, 40_000)]
+    # about 130 bytes a cell of one block of rows, whatever the row count
+    assert max(peaks) <= 200 * len(columns) * vio._ROW_BLOCK
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_point_cloud_reader_working_set_is_a_few_times_its_text(tmp_path):
+    tree = generate_tree(n_leaves=64, domain_size=400.0, seed=2)
+    cloud = sample_centerline(tree, SamplerConfig(
+        position_noise_std=0.3, tangent_noise_std_rad=0.1, seed=2))
+    path = tmp_path / "cloud.txt"
+    write_point_cloud(path, cloud)
+    assert len(cloud) >= 4000
+    assert traced_peak(lambda: read_point_cloud(path)) \
+        <= 3 * path.stat().st_size

@@ -1,13 +1,19 @@
 """Tests for the evaluation metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vesseltrees.graphs import NeighborSystem, knn_neighbors, build_confluent_graph
-from vesseltrees.geometry import SampleCloud, arc_points
+from vesseltrees import metrics
+from vesseltrees.graphs import NeighborSystem, knn_neighbors, \
+    build_confluent_graph, build_geodesic_graph
+from vesseltrees.geometry import DegenerateInputError, SampleCloud, \
+    arc_points, batch_arc_geometry, batch_arc_points
+from vesseltrees.io import read_tree, write_tree
 from vesseltrees.metrics import (
+    DEFAULT_STEP,
     MatchTolerance,
     RocPoint,
     bifurcation_angle,
@@ -19,7 +25,8 @@ from vesseltrees.metrics import (
     resample_tree,
     roc_sweep,
 )
-from vesseltrees.solvers import NO_PARENT, VesselTree, minimum_arborescence
+from vesseltrees.solvers import NO_PARENT, VesselTree, minimum_arborescence, \
+    minimum_spanning_tree
 from vesseltrees.synth import GroundTruthTree, SamplerConfig, generate_tree, \
     sample_centerline
 
@@ -435,3 +442,170 @@ def test_connectivity_roc_matches_pair_walk_reference():
             seen["whole_edge"] += any(lo == 0.0 and hi == 1.0
                                       for _, lo, hi in spans)
     assert min(seen.values()) > 0, seen
+
+
+def per_point_resample(tree, step):
+    """``resample_tree`` as one array pass, every output point fitting its
+    edge's arc again through ``batch_arc_points``: the reference for the
+    per-edge frames evaluated in point blocks."""
+    childs = tree.edge_children()
+    counts = np.maximum(
+        1, np.ceil(tree.edge_lengths() / step).astype(np.int64))
+    edge = np.repeat(np.arange(childs.size), counts + 1)
+    first = np.cumsum(counts + 1) - (counts + 1)
+    fracs = (np.arange(edge.size) - first[edge]) / counts[edge]
+    child = childs[edge]
+    par = tree.parent[child]
+    p, q = tree.positions[par], tree.positions[child]
+    points = p + fracs[:, None] * (q - p)
+    if tree.edge_start_tangent is not None:
+        t = tree.edge_start_tangent[child]
+        on_arc = np.all(np.isfinite(t), axis=1) & (tree.edge_alpha[child] != 0)
+        if on_arc.any():
+            points[on_arc] = batch_arc_points(p[on_arc], t[on_arc],
+                                              q[on_arc], fracs[on_arc])
+    if tree.radii is None:
+        return points, None
+    return points, (1 - fracs) * tree.radii[par] + fracs * tree.radii[child]
+
+
+def with_edges(recon, tangents=None, alpha=None):
+    """``recon`` with other start tangents or stored alphas."""
+    return VesselTree(
+        root=recon.root, parent=recon.parent, positions=recon.positions,
+        edge_weight=recon.edge_weight,
+        edge_alpha=recon.edge_alpha if alpha is None else alpha,
+        edge_length=recon.edge_length, total_weight=recon.total_weight,
+        edge_start_tangent=(recon.edge_start_tangent if tangents is None
+                            else tangents))
+
+
+def resample_cases():
+    """Trees with every kind of edge ``resample_tree`` draws."""
+    gt, recon = arc_recon(n_leaves=10, seed=4)
+    childs = recon.edge_children()
+    chords = recon.positions[childs] - recon.positions[recon.parent[childs]]
+    along = recon.edge_start_tangent.copy()
+    along[childs] = chords / np.linalg.norm(chords, axis=1)[:, None]
+    nan_tangents = recon.edge_start_tangent.copy()
+    nan_tangents[childs[::3]] = np.nan
+    zero_alpha = recon.edge_alpha.copy()
+    zero_alpha[childs] = 0.0
+    mixed_t, mixed_a = recon.edge_start_tangent.copy(), recon.edge_alpha.copy()
+    mixed_t[childs[0::4]] = along[childs[0::4]]
+    mixed_t[childs[1::4]] = np.nan
+    mixed_a[childs[2::4]] = 0.0
+    return {
+        "ground truth": gt,
+        "arcs": recon,
+        "tangents along the chords": with_edges(recon, tangents=along),
+        "alpha 0": with_edges(recon, alpha=zero_alpha),
+        "NaN tangents": with_edges(recon, tangents=nan_tangents),
+        "mixed": with_edges(recon, tangents=mixed_t, alpha=mixed_a),
+        "no tangents": straight_tree(gt),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_resample_blocks_are_bit_identical_to_per_point_arcs(monkeypatch,
+                                                             block):
+    for name, tree in resample_cases().items():
+        step = 0.3
+        want_pts, want_radii = per_point_resample(tree, step)
+        monkeypatch.setattr(metrics, "_RESAMPLE_BLOCK",
+                            block or want_pts.shape[0])
+        pts, radii = resample_tree(tree, step)
+        assert pts.tobytes() == want_pts.tobytes(), name
+        if want_radii is None:
+            assert radii is None, name
+        else:
+            assert radii.tobytes() == want_radii.tobytes(), name
+
+
+def test_resample_tree_raises_on_degenerate_arcs():
+    _, recon = arc_recon()
+    childs = recon.edge_children()
+    child, par = childs[5], recon.parent[childs[5]]
+    coincident = with_edges(recon)
+    coincident.positions = recon.positions.copy()
+    coincident.positions[child] = coincident.positions[par]
+    backwards = recon.edge_start_tangent.copy()
+    chord = recon.positions[child] - recon.positions[par]
+    backwards[child] = -chord / np.linalg.norm(chord)
+    for tree in (coincident, with_edges(recon, tangents=backwards)):
+        with pytest.raises(DegenerateInputError):
+            resample_tree(tree)
+        with pytest.raises(DegenerateInputError):
+            per_point_resample(tree, DEFAULT_STEP)
+    # an edge drawn as its chord is never fitted, like the per-point pass
+    nan_tangent = coincident.edge_start_tangent.copy()
+    nan_tangent[child] = np.nan
+    tree = with_edges(coincident, tangents=nan_tangent)
+    assert resample_tree(tree)[0].tobytes() == \
+        per_point_resample(tree, DEFAULT_STEP)[0].tobytes()
+
+
+def test_geodesic_tree_read_with_its_cloud_resamples_to_chords(tmp_path):
+    gt = generate_tree(n_leaves=8, domain_size=80.0, seed=6)
+    cloud = sample_centerline(gt, SamplerConfig(
+        position_noise_std=0.3, tangent_noise_std_rad=0.2,
+        orientation_flip_prob=0.2, seed=6))
+    neighbors = knn_neighbors(cloud, k=30)
+    root = int(np.argmin(np.linalg.norm(
+        cloud.positions - gt.positions[gt.root], axis=1)))
+    geodesic = minimum_spanning_tree(build_geodesic_graph(cloud, neighbors),
+                                     root)
+    confluent = minimum_arborescence(build_confluent_graph(
+        cloud, neighbors, epsilon=math.pi / 2), root)
+    for tree, name in ((confluent, "confluent"), (geodesic, "geodesic")):
+        write_tree(tmp_path / name, tree)
+        back = read_tree(tmp_path / name, cloud=cloud)
+        assert back.edge_start_tangent is not None
+        want = resample_tree(tree)[0]
+        assert resample_tree(back)[0].tobytes() == want.tobytes(), name
+    # drawn along arcs from the cloud's tangents, it would be another curve
+    bowed = with_edges(back, alpha=np.full(back.edge_alpha.size, np.nan))
+    assert resample_tree(bowed)[0].tobytes() != want.tobytes()
+
+
+def helix_tree(n):
+    """A chain of n nodes on a helix, each edge a bent arc."""
+    s = np.arange(n) * 0.4
+    pos = np.stack([10 * np.cos(s / 10), 10 * np.sin(s / 10), s], axis=1)
+    tan = np.roll(pos, -1, axis=0) - pos
+    tan[-1] = tan[-2]
+    tan += np.stack([np.zeros(n), np.zeros(n), 0.2 * np.ones(n)], axis=1)
+    tan /= np.linalg.norm(tan, axis=1)[:, None]
+    parent = np.arange(-1, n - 1)
+    childs = np.arange(1, n)
+    _, alpha, length, _ = batch_arc_geometry(pos[childs - 1], tan[childs - 1],
+                                             pos[childs])
+    edge_alpha, edge_length = np.full(n, np.nan), np.full(n, np.nan)
+    edge_alpha[childs], edge_length[childs] = alpha, length
+    start = np.full((n, 3), np.nan)
+    start[childs] = tan[childs - 1]
+    return VesselTree(root=0, parent=parent, positions=pos,
+                      edge_weight=edge_length, edge_alpha=edge_alpha,
+                      edge_length=edge_length,
+                      total_weight=float(np.sum(length)),
+                      edge_start_tangent=start)
+
+
+def traced_peak(fn):
+    """(result, bytes allocated at the peak of ``fn`` beyond its start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_resample_tree_working_set_is_a_small_multiple_of_its_output():
+    tree = helix_tree(6000)
+    (points, _), peak = traced_peak(lambda: resample_tree(tree, 0.1))
+    assert points.shape[0] >= 20_000
+    assert np.count_nonzero(tree.edge_alpha[1:]) == tree.n_edges
+    # the per-point pass held about 20 times its output at its peak
+    assert peak <= 4 * points.nbytes
