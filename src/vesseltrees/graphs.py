@@ -19,7 +19,7 @@ keeps the systems small: the dense-k500 benchmark cloud (about 4.8k
 samples, cap K=500) is solved from 20k pairs in one round, not the 1.4M
 of the fixed K=500 system, and its whole benchmark run
 (``perfbench/run.py --workload dense-k500 --seed 1 --trace 0``) peaks at
-about 83 MB RSS on a 2-core Intel Xeon.
+about 84 MB RSS on a 2-core Intel Xeon.
 
 An isotropic system also keeps, per node v, its own neighbourhood size
 K(v) and its kNN radius d_K(v), the distance of the farthest of the
@@ -61,8 +61,8 @@ from .geometry import (
 # fastest, 256k about 25 % slower and all pairs at once about twice as slow.
 # The certified systems (20k pairs on dense-k500, 57k on large-k100) take a
 # few chunks in the calling thread: perfbench/run.py --seed 1 peaks at
-# 83 MB on dense-k500, 91 MB on large-k100 and 77 MB on corpus-sweep
-# (2-core Intel Xeon, medians of 10, 11 and 5 runs).
+# 84 MB on dense-k500, 91 MB on large-k100 and 78 MB on corpus-sweep
+# (2-core Intel Xeon, medians of 6, 4 and 5 runs).
 _PAIR_CHUNK = 16_384
 _QUERY_CHUNK = 20_000
 # A k-d tree query of fewer rows than this runs on one thread: starting the
@@ -230,8 +230,9 @@ def knn_neighbors(samples: SampleCloud, k: int) -> NeighborSystem:
 
 
 def widen_neighbors(samples: SampleCloud, neighbors: NeighborSystem,
-                    nodes, k) -> NeighborSystem:
-    """``neighbors`` with only the listed nodes re-queried at a larger size.
+                    nodes, k) -> tuple[NeighborSystem, np.ndarray]:
+    """``neighbors`` with only the listed nodes re-queried at a larger size,
+    and the pairs that this adds.
 
     ``nodes`` are distinct sample indices and ``k`` their new sizes (one
     int for all, or one per node), each at least the node's current
@@ -240,6 +241,8 @@ def widen_neighbors(samples: SampleCloud, neighbors: NeighborSystem,
     ``SampleCloud``; the listed nodes' new pairs join its pairs, and their
     ``node_k`` and ``kth_distance`` are updated (+inf at |V| - 1). The
     system's ``k`` becomes the largest size now in use if that exceeds it.
+    The added pairs, those of the new system that ``neighbors`` lacks,
+    come back as an (A, 2) array in the system's pair order.
     """
     from scipy.spatial import cKDTree
 
@@ -251,17 +254,27 @@ def widen_neighbors(samples: SampleCloud, neighbors: NeighborSystem,
         raise ValueError("new sizes must lie in [node_k, |V| - 1]")
     node_k = neighbors.node_k.copy()
     kth = neighbors.kth_distance.copy()
-    codes = [_encode_pairs(neighbors.pairs[:, 0], neighbors.pairs[:, 1], n)]
     tree = cKDTree(samples.positions)
+    queried = [np.empty(0, dtype=np.int64)]
     for size in np.unique(sizes):
         rows = nodes[sizes == size]
         node_k[rows] = size
         size_codes, kth[rows] = _nearest_codes(tree, samples.positions, rows,
                                                int(size), n)
-        codes.append(size_codes)
-    pairs = _decode_pairs(_sorted_unique(np.concatenate(codes)), n)
+        queried.append(size_codes)
+    # The old codes are sorted, so the queried ones they lack are found and
+    # merged in by binary search, without sorting the union.
+    old = _encode_pairs(neighbors.pairs[:, 0], neighbors.pairs[:, 1], n)
+    new = _sorted_unique(np.concatenate(queried))
+    at = np.searchsorted(old, new)
+    fresh = np.ones(new.size, dtype=bool)
+    if old.size:
+        fresh = old[np.minimum(at, old.size - 1)] != new
+    added = new[fresh]
+    pairs = _decode_pairs(np.insert(old, at[fresh], added), n)
     return NeighborSystem(k=max(neighbors.k, int(node_k.max())), pairs=pairs,
-                          node_k=node_k, kth_distance=kth)
+                          node_k=node_k, kth_distance=kth), \
+        _decode_pairs(added, n)
 
 
 def anisotropic_knn(samples: SampleCloud, k_final: int = 4,
@@ -403,6 +416,28 @@ def build_confluent_graph(samples: SampleCloud, neighbors: NeighborSystem,
     order = np.argsort(tails.astype(np.int64) * len(samples) + heads)
     return TubularGraph(samples, tails[order], heads[order], weights[order],
                         mode="confluent")
+
+
+def merge_graphs(graph: TubularGraph, more: TubularGraph) -> TubularGraph:
+    """One graph of the arcs of two graphs of one mode over the same
+    samples, which share no (tail, head).
+
+    Both builders give their arcs in the order of the key tail * N + head
+    (sorted in confluent mode, the pair order in geodesic mode), and the
+    merged arcs keep it, so a graph built from two disjoint neighbour
+    systems and merged is the graph of their union, array for array.
+    """
+    n = graph.n_nodes
+    key = graph.tails.astype(np.int64)
+    key *= n
+    key += graph.heads
+    at = np.searchsorted(key, more.tails.astype(np.int64) * n + more.heads)
+    del key
+    # np.insert places values at one index in the order given
+    return TubularGraph(
+        graph.samples, np.insert(graph.tails, at, more.tails),
+        np.insert(graph.heads, at, more.heads),
+        np.insert(graph.weights, at, more.weights), mode=graph.mode)
 
 
 def build_geodesic_graph(samples: SampleCloud,

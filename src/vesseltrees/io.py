@@ -7,7 +7,10 @@ weight`` for reconstructions (the root row carries ``nan`` edge fields).
 ``#`` starts a comment in either format. A file is read as a list of
 lines, and one ``np.loadtxt`` parses the rows of either format from that
 list (see ``_read_rows``); only a file it fails on is walked again line
-by line, for a message that names the first bad line.
+by line, for a message that names the first bad line. Values that no
+sample or tree can have (a non-finite position, tangent or radius, a
+negative radius, a NaN or negative edge value) fail at read time the
+same way, naming the first line that has one (see ``_refuse_rows``).
 
 Every table, the CSV reports included, is written column by column by
 ``_write_rows``. Floats are written with ``repr`` so every file round-trips
@@ -352,11 +355,39 @@ def _read_rows(path, lines, widths, what, ids=False):
     raise ValueError(f"{path}: {error}")
 
 
+def _refuse_rows(path, lines, bad, message):
+    """Raise ValueError ``<path>:<line>: <message>`` for the first row that
+    the mask ``bad`` marks, if any; its rows are the table rows that
+    ``_read_rows`` read from ``lines``."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        line_no = [i for i, line in enumerate(lines, 1) if _cells(line)][row]
+        raise ValueError(f"{path}:{line_no}: {message}")
+
+
+def _refuse_bad_points(path, lines, positions, radii):
+    """Refuse rows with non-finite positions or radii that are not finite
+    and >= 0 (``radii`` may be None)."""
+    _refuse_rows(path, lines, ~np.isfinite(positions).all(axis=1),
+                 "positions must be finite")
+    if radii is not None:
+        _refuse_rows(path, lines, ~(np.isfinite(radii) & (radii >= 0)),
+                     "radii must be finite and >= 0")
+
+
 def read_point_cloud(path) -> SampleCloud:
-    """Load a point cloud of 6- or 7-column rows (see ``_read_rows``)."""
+    """Load a point cloud of 6- or 7-column rows (see ``_read_rows``).
+
+    A row with a non-finite position or tangent, or a radius that is NaN,
+    infinite or negative, raises ValueError naming its line.
+    """
     with open(path) as fh:
-        data = _read_rows(path, fh.readlines(), (6, 7), "samples")
+        lines = fh.readlines()
+    data = _read_rows(path, lines, (6, 7), "samples")
     radii = data[:, 6] if data.shape[1] == 7 else None
+    _refuse_bad_points(path, lines, data[:, 0:3], radii)
+    _refuse_rows(path, lines, ~np.isfinite(data[:, 3:6]).all(axis=1),
+                 "tangents must be finite unit vectors")
     return SampleCloud(data[:, 0:3], data[:, 3:6], radii)
 
 
@@ -388,7 +419,10 @@ def read_tree(path, cloud: SampleCloud | None = None):
     The ``root <index>`` and ``# domain_size <value>`` lines may stand
     anywhere, the last of each counting; the node rows are read by
     ``_read_rows``. A malformed file, or a tree that fails ``validate()``,
-    raises ValueError naming the file.
+    raises ValueError naming the file. A row with a non-finite position,
+    a ground-truth radius that is NaN, infinite or negative, or an edge
+    whose alpha, length or weight is NaN or negative raises ValueError
+    naming its line; edge values may be +inf.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -413,6 +447,11 @@ def read_tree(path, cloud: SampleCloud | None = None):
     ids, vals = rows["ids"], rows["vals"]
     nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
+    _refuse_bad_points(path, lines, vals[:, :3], vals[:, 3] if gt else None)
+    if not gt:   # written so that NaN fails it; the root row has no edge
+        _refuse_rows(path, lines, (ids[:, 1] >= 0)
+                     & ~(vals[:, 3:] >= 0).all(axis=1),
+                     "alpha, length and weight must be >= 0")
     if gt:
         n = nodes.size
         if not np.array_equal(np.sort(nodes), np.arange(n)):

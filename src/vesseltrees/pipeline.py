@@ -23,8 +23,8 @@ import numpy as np
 
 from . import io as vio
 from .geometry import batch_arc_geometry
-from .graphs import anisotropic_knn, build_confluent_graph, \
-    build_geodesic_graph, knn_neighbors, widen_neighbors
+from .graphs import NeighborSystem, anisotropic_knn, build_confluent_graph, \
+    build_geodesic_graph, knn_neighbors, merge_graphs, widen_neighbors
 # bifurcation_roc, centerline_roc and median_angular_error are not called
 # here, but perfbench/spans.py wraps them as globals of this module.
 from .metrics import (
@@ -176,9 +176,10 @@ def _uncovered(tree, failing, pairs) -> np.ndarray:
 
 
 def _widen_failing(cloud, neighbors, tree, failed, cap):
-    """The next round's system: the failing nodes below the cap grow, and
-    each failing node v at the cap takes every sample below the cap within
-    P(v) of it to the cap.
+    """The next round's system and the pairs it adds (see
+    ``widen_neighbors``): the failing nodes below the cap grow, and each
+    failing node v at the cap takes every sample below the cap within P(v)
+    of it to the cap.
 
     A node below the cap grows to at least twice its size K, and to
     K P(v) / d_K(v) if that is more, up to the cap: the size at which
@@ -214,6 +215,22 @@ def _widen_failing(cloud, neighbors, tree, failed, cap):
     return widen_neighbors(cloud, neighbors, widened, sizes[widened])
 
 
+def _keeps(tree, arcs) -> bool:
+    """Whether ``tree`` stays the optimum when ``arcs`` join its graph.
+
+    Each arc must weigh more than its bound (see ``reconstruct_cloud``):
+    P(head) for an arborescence, twice the larger P of its ends for a
+    spanning tree. The certificate's relative slack absorbs the rounding
+    of the sums that make up P(v), so an arc that only ties it, to within
+    rounding, has the tree solved again.
+    """
+    potential = tree.potential
+    bound = potential[arcs.heads]
+    if arcs.mode == "geodesic":
+        bound = 2.0 * np.maximum(bound, potential[arcs.tails])
+    return bool(np.all(arcs.weights * (1.0 - CERTIFY_RTOL) > bound))
+
+
 def _reissue(caught):
     """Issue recorded warnings again as the modules that raised them would:
     under the filters that name the module, once a location where the
@@ -234,7 +251,7 @@ def _reissue(caught):
 def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     """Neighbors -> graph -> tree for one cloud; returns the run record.
 
-    One loop builds the mode's graph and solves it, round after round. In
+    One loop fits the mode's graph and solves it, round after round. In
     both isotropic modes every node starts at ``CERTIFY_K0`` neighbours, up
     to the cap ``k``, and each round checks every node's potential P(v)
     against its complete radius (see ``_complete_radius``): then no arc the
@@ -242,16 +259,34 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     light as a spanning-tree edge (a left-out edge weighs at least twice
     its chord). In geodesic mode only the failing nodes that
     ``_uncovered`` keeps count. The failing nodes widen (see
-    ``_widen_failing``) and the next round solves again. Once every sample
-    is at the cap every radius is infinite, so the loop ends with the
-    fixed-cap graph's tree at the latest. Anisotropic neighbourhoods solve
-    the graph of ``build_neighbors`` once. The loop keeps the last round's
-    tree, graph and neighbor system (``k`` is the cap), and issues only
-    that round's warnings. The tree is ``certified`` when it is also the
-    tree over all N(N - 1) arcs, or all pairs in geodesic mode, by the same
-    test against each node's kNN radius d_K(v), which is +inf at a node
-    that selected every other sample; ``uncertified_nodes`` counts the
-    nodes that fail it.
+    ``_widen_failing``), and the next round fits arcs, or edges, for the
+    pairs the widening added, and only for those. Once every sample is at
+    the cap every radius is infinite, so the loop ends with the fixed-cap
+    graph's tree at the latest. Anisotropic neighbourhoods solve the graph
+    of ``build_neighbors`` once.
+
+    A round keeps the tree of the round before when every added arc
+    weighs more than the potential at its head, or in geodesic mode every
+    added edge more than twice the larger potential of its ends (see
+    ``_keeps``). The potentials are a feasible dual of the arborescence,
+    so such an arc has a positive reduced cost and is never the least
+    entering arc of a supernode that holds its head: the contractions, the
+    tree and the dual stay as they were. Such an edge is heavier than
+    every tree edge, so by the cycle property the spanning tree stays as
+    it was (see ``solvers``). P(v) is +inf off the root's tree, so an arc
+    into such a node, or an edge at one, always has the graph solved
+    again. Otherwise the round releases the old tree, merges the arcs
+    fitted since the last solve into its graph (see ``merge_graphs``), and
+    solves the whole graph again. Either way the tree, its potentials and
+    the stats are those of solving the whole graph every round.
+
+    The loop keeps the last round's tree, graph and neighbor system (``k``
+    is the cap), and issues the warnings only of the solve whose tree it
+    keeps. The tree is ``certified`` when it is also the tree over all
+    N(N - 1) arcs, or all pairs in geodesic mode, by the same test against
+    each node's kNN radius d_K(v), which is +inf at a node that selected
+    every other sample; ``uncertified_nodes`` counts the nodes that fail
+    it.
     """
     n = len(cloud)
     cap = min(cfg.k, n - 1)
@@ -271,35 +306,48 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         neighbors = build_neighbors(cloud, cfg)
     lap("neighbors_s")
 
+    def fit(system):
+        if cfg.mode == "confluent":
+            return build_confluent_graph(cloud, system, epsilon=cfg.epsilon,
+                                         elastic_lambda=cfg.elastic_lambda)
+        return build_geodesic_graph(cloud, system)
+
     def check(radius=None):
         failing = _uncertified(tree, neighbors, radius)
         if cfg.mode == "geodesic":
             failing = _uncovered(tree, failing, neighbors.pairs)
         return np.flatnonzero(failing)
 
+    # unsolved: the arcs fitted since the last solve; added: this round's
+    graph = tree = None
+    unsolved = added = fit(neighbors)
+    lap("graph_s")
     rounds, uncertified = 0, None
     while True:
         rounds += 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if cfg.mode == "confluent":
-                graph = build_confluent_graph(
-                    cloud, neighbors, epsilon=cfg.epsilon,
-                    elastic_lambda=cfg.elastic_lambda)
-                lap("graph_s")
-                tree = minimum_arborescence(graph, root)
-            else:
-                graph = build_geodesic_graph(cloud, neighbors)
-                lap("graph_s")
-                tree = minimum_spanning_tree(graph, root)
+        if tree is None or not _keeps(tree, added):
+            tree = None   # not held while the merged graph is solved
+            graph = unsolved if graph is None else merge_graphs(graph,
+                                                                unsolved)
+            unsolved = None
+            lap("graph_s")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if cfg.mode == "confluent":
+                    tree = minimum_arborescence(graph, root)
+                else:
+                    tree = minimum_spanning_tree(graph, root)
         if certify:
             failed = check(_complete_radius(cloud, neighbors, cap))
         lap("solve_s")
         if not certify or failed.size == 0:
             break
-        neighbors = _widen_failing(cloud, neighbors, tree, failed, cap)
-        del graph, tree   # not held while the next round builds its own
+        neighbors, pairs = _widen_failing(cloud, neighbors, tree, failed, cap)
         lap("neighbors_s")
+        added = fit(NeighborSystem(k=neighbors.k, pairs=pairs))
+        unsolved = added if unsolved is None else merge_graphs(unsolved,
+                                                               added)
+        lap("graph_s")
     if certify:
         uncertified = check()
         lap("solve_s")
@@ -309,7 +357,8 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
         "root": int(root),
         "n_samples": n,
         "n_neighbor_pairs": int(neighbors.n_pairs),
-        "n_arcs": int(graph.n_arcs),
+        "n_arcs": int(graph.n_arcs
+                      + (0 if unsolved is None else unsolved.n_arcs)),
         "n_tree_nodes": int(tree.n_nodes),
         "n_excluded": int(tree.excluded.size),
         "total_weight": float(tree.total_weight),
@@ -383,6 +432,8 @@ def synth_corpus(out_dir, *, n_trees: int = 15, n_leaves: int = 8,
                  sweep_param: str | None = None, sweep_values=None,
                  jobs: int = 1) -> dict:
     """Generate a ground-truth corpus with sampled clouds; returns manifest."""
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     sampler = sampler or SamplerConfig()
     if sweep_param is not None:
         field = SWEEP_PARAMS.get(sweep_param)

@@ -15,12 +15,13 @@ backwards, each round in one pass: the entering arc of each of its
 supernodes goes to the member that holds the arc's head, and the other
 members keep their selected arcs. This is the O(|A| |V|) worst case, but
 rounds are few on vessel-like data. On a 2-core Intel Xeon (x86-64), the
-two certified rounds of the large-k100 benchmark cloud (13.9k nodes, 0.22M
-arcs in all) solve in 0.02 s (``solvers.arborescence_s`` of
-``perfbench/run.py --workload large-k100 --seed 1 --trace 1``); 4.8k nodes
-with the 1.5M arcs of a fixed K=500 system took about 0.14 s when that
-system was still built. The spanning tree is scipy's Kruskal on each
-edge's (weight, index) rank.
+large-k100 benchmark cloud (13.9k nodes, 0.11M arcs) solves in about
+0.015 s (``solvers.arborescence_s`` of ``perfbench/run.py --workload
+large-k100 --seed 1 --trace 1``): its certified loop takes two rounds but
+solves once, since the second adds no arc that can change the tree (see
+below); 4.8k nodes with the 1.5M arcs of a fixed K=500 system took about
+0.14 s when that system was still built. The spanning tree is scipy's
+Kruskal on each edge's (weight, index) rank.
 
 Ties are broken by lowest arc index everywhere, which makes both solvers
 deterministic for a given input ordering.
@@ -52,6 +53,18 @@ supergraph's. A left-out geodesic edge weighs at least twice its
 chord, which is at least the kNN radius at either end, so ``pipeline``
 checks P(v) against that radius as for the arborescence; an edge between
 two nodes of the root's tree is covered once either of its ends passes.
+
+The same two bounds say when a tree survives arcs that join its graph,
+which lets ``pipeline`` solve a certified round only when its widening
+adds an arc that could change the tree. An added arc u -> v weighing more
+than P(v) has a positive reduced cost against the y_S, since the y_S of
+the supernodes it enters sum to at most P(v); each round of the algorithm
+on the larger graph then selects the arcs, finds the cycles and sets the
+y_S that it did on the smaller one, so the tree and the potentials are
+the same. An added edge weighing more than twice the larger potential of
+its ends is heavier than every tree edge, so by the cycle property the
+root's tree is the same. P(v) is +inf off the root's tree, so an arc into
+such a node, or an edge at one, always has the graph solved again.
 
 Both solvers import ``scipy.sparse`` and its graph routines when first
 called, so importing this module loads numpy only.

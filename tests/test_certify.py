@@ -434,3 +434,158 @@ def test_dumped_neighbors_are_the_solved_system(tmp_path):
         assert np.array_equal(dumped.pairs, solved.pairs)
         assert stats["n_neighbor_pairs"] == dumped.n_pairs \
             < knn_neighbors(cloud, 30).n_pairs
+
+
+def counted_solves(monkeypatch):
+    """Record every tree that ``pipeline`` solves, with its graph."""
+    solved = []
+    for name in ("minimum_arborescence", "minimum_spanning_tree"):
+        def counted(graph, root, solver=getattr(pipeline, name)):
+            tree = solver(graph, root)
+            solved.append((graph, tree))
+            return tree
+        monkeypatch.setattr(pipeline, name, counted)
+    return solved
+
+
+def untimed(stats):
+    return {key: value for key, value in stats.items()
+            if not key.endswith("_s")}
+
+
+def assert_same_run(run, reference):
+    """Trees, potentials, stats (timings aside) and systems are equal."""
+    (tree, stats, neighbors), (ref_tree, ref_stats, ref_neighbors) = \
+        run, reference
+    for name in ("parent", "edge_weight", "edge_alpha", "edge_length",
+                 "potential"):
+        assert getattr(tree, name).tobytes() == \
+            getattr(ref_tree, name).tobytes()
+    assert untimed(stats) == untimed(ref_stats)
+    assert neighbors.pairs.tobytes() == ref_neighbors.pairs.tobytes()
+
+
+def solved_every_round(monkeypatch, cloud, cfg, root):
+    """``reconstruct_cloud`` with a loop that solves every round."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_keeps", lambda tree, arcs: False)
+        return reconstruct_cloud(cloud, cfg, root)
+
+
+def solved_from_scratch(cloud, cfg, root, neighbors):
+    """The tree of the whole graph of ``neighbors``, and that graph."""
+    if cfg.mode == "confluent":
+        graph = build_confluent_graph(cloud, neighbors, cfg.epsilon,
+                                      cfg.elastic_lambda)
+        return minimum_arborescence(graph, root), graph
+    graph = build_geodesic_graph(cloud, neighbors)
+    return minimum_spanning_tree(graph, root), graph
+
+
+def run_counted(monkeypatch, cloud, cfg, root):
+    """The run, the trees it solved, and the checks against a loop that
+    solves every round and against the final system's graph."""
+    reference = solved_every_round(monkeypatch, cloud, cfg, root)
+    with monkeypatch.context() as patch:
+        solved = counted_solves(patch)
+        run = reconstruct_cloud(cloud, cfg, root)
+    assert_same_run(run, reference)
+    tree, stats, neighbors = run
+    full, graph = solved_from_scratch(cloud, cfg, root, neighbors)
+    assert tree.parent.tobytes() == full.parent.tobytes()
+    assert tree.potential.tobytes() == full.potential.tobytes()
+    assert stats["n_arcs"] == graph.n_arcs
+    assert 1 <= len(solved) <= stats["k_rounds"]
+    return run, solved
+
+
+def added_arcs(first, final):
+    """The arcs of the graph ``final`` that the graph ``first`` lacks."""
+    n = first.n_nodes
+    keys = first.tails.astype(np.int64) * n + first.heads
+    new = ~np.isin(final.tails.astype(np.int64) * n + final.heads, keys)
+    return final.tails[new], final.heads[new], final.weights[new]
+
+
+@pytest.mark.filterwarnings("ignore:no nodes reachable")
+@pytest.mark.filterwarnings("ignore:root is isolated")
+@pytest.mark.parametrize("mode", ["confluent", "geodesic"])
+def test_rounds_solve_only_when_an_added_arc_can_change_the_tree(
+        monkeypatch, mode):
+    # "both": a run that keeps the tree in some rounds after the first and
+    # solves again in others
+    counts = {"kept": 0, "solved_again": 0, "both": 0}
+    for cloud, root in small_clouds():
+        for cap in (6, 30, 500):
+            cfg = PipelineConfig(mode=mode, k=cap)
+            (_, stats, _), solved = run_counted(monkeypatch, cloud, cfg,
+                                                root)
+            counts["kept"] += len(solved) < stats["k_rounds"]
+            counts["solved_again"] += len(solved) > 1
+            counts["both"] += 1 < len(solved) < stats["k_rounds"]
+    assert counts["kept"] >= 6 and counts["solved_again"] >= 6
+    assert counts["both"] >= 2
+
+
+def test_a_round_whose_arcs_all_cost_more_than_the_potential_keeps_it(
+        monkeypatch):
+    # Three rounds widen the neighbourhoods, and every arc the second and
+    # third add weighs more than the potential at its head, so the first
+    # round's tree is the only one solved.
+    cloud, root = vessel_cloud(3, n_max=60)
+    (tree, stats, neighbors), solved = run_counted(
+        monkeypatch, cloud, PipelineConfig(), root)
+    assert stats["k_rounds"] == 3 and len(solved) == 1
+    assert stats["certified"] is True
+    (first, kept), = solved
+    assert kept is tree and stats["n_arcs"] > first.n_arcs
+    _, full = solved_from_scratch(cloud, PipelineConfig(), root, neighbors)
+    _, heads, weights = added_arcs(first, full)
+    assert heads.size and np.all(weights > tree.potential[heads])
+
+
+def test_an_arc_that_undercuts_the_potential_solves_again(monkeypatch):
+    # The second round adds an arc lighter than the potential at its head,
+    # which the first round's tree cannot be proven against: the merged
+    # graph is solved again, and its tree is not the first one.
+    cloud, root = vessel_cloud(1, n_max=120)
+    (tree, stats, _), solved = run_counted(monkeypatch, cloud,
+                                           PipelineConfig(), root)
+    assert stats["k_rounds"] == 2 and len(solved) == 2
+    (first, first_tree), (final, final_tree) = solved
+    assert final_tree is tree
+    _, heads, weights = added_arcs(first, final)
+    assert np.any(weights <= first_tree.potential[heads])
+    assert np.isfinite(first_tree.potential[heads]).all()
+    assert first_tree.parent.tobytes() != tree.parent.tobytes()
+
+
+def test_a_node_unreached_in_the_first_round_is_solved_for(monkeypatch):
+    # The first round reaches nothing, so every potential but the root's
+    # is +inf and no added arc into the chain can be ruled out: the
+    # second round solves again and reaches the chain.
+    cloud = chain_beyond_cluster()
+    (tree, stats, _), solved = run_counted(monkeypatch, cloud,
+                                           PipelineConfig(), 0)
+    assert stats["k_rounds"] == 2 and len(solved) == 2
+    first = solved[0][1]
+    assert first.n_nodes == 1 and np.isposinf(first.potential[1:]).all()
+    assert tree.n_nodes == len(cloud) - 10
+
+
+def test_geodesic_rounds_keep_the_tree_below_every_added_edge(monkeypatch):
+    # Every edge the second round adds weighs more than twice the larger
+    # potential of its ends, so it is heavier than every tree edge.
+    cloud, root = vessel_cloud(1, n_max=60)
+    cfg = PipelineConfig(mode="geodesic")
+    (tree, stats, neighbors), solved = run_counted(monkeypatch, cloud, cfg,
+                                                   root)
+    assert stats["k_rounds"] == 2 and len(solved) == 1
+    assert stats["certified"] is True
+    (first, _), = solved
+    _, full = solved_from_scratch(cloud, cfg, root, neighbors)
+    tails, heads, weights = added_arcs(first, full)
+    assert heads.size and np.all(weights > np.max(
+        tree.edge_weight[tree.parent >= 0]))
+    assert np.all(weights > 2.0 * np.maximum(tree.potential[tails],
+                                             tree.potential[heads]))

@@ -563,3 +563,44 @@ def test_synth_and_compare_never_import_scipy(tmp_path):
     assert [r[1] for r in rows] == ["mean_centerline_recall",
                                     "mean_centerline_fallout"]
     assert (tmp_path / "eval" / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (5, "nan", "radii must be finite and >= 0"),
+    (5, "-1.0", "radii must be finite and >= 0"),
+    (2, "nan", "positions must be finite"),
+], ids=["radius-nan", "radius-negative", "x-nan"])
+def test_evaluate_refuses_bad_ground_truth_values_by_line(tmp_path, capsys,
+                                                          column, value,
+                                                          message):
+    # node 3 of a ground-truth tree gets the bad value; evaluate stops with
+    # one line naming the file and the line of node 3, before any scoring
+    corpus, recon = tmp_path / "corpus", tmp_path / "run"
+    small_synth(corpus)
+    assert run(["reconstruct", "--corpus", str(corpus), "--out", str(recon),
+                "--k", "30"]) == 0
+    gt_path = corpus / read_json(corpus / "manifest.json")["items"][0]["tree"]
+    lines = gt_path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if line.split()[:1] == ["3"])
+    cells = lines[line_no - 1].split()
+    cells[column] = value
+    lines[line_no - 1] = " ".join(cells)
+    gt_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--corpus", str(corpus), "--recon", str(recon),
+                "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {gt_path}:{line_no}: {message}"]
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("n_trees", ["0", "-3"])
+def test_synth_refuses_an_empty_corpus(tmp_path, capsys, n_trees):
+    out = tmp_path / "corpus"
+    assert run(["synth", "--out", str(out), "--n-trees", n_trees]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: n_trees must be >= 1, got {n_trees}"]
+    assert not out.exists()

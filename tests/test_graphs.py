@@ -2,6 +2,7 @@
 
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vesseltrees.graphs import (
     build_confluent_graph,
     build_geodesic_graph,
     knn_neighbors,
+    merge_graphs,
     widen_neighbors,
 )
 from vesseltrees.solvers import minimum_spanning_tree
@@ -259,22 +261,27 @@ def test_widen_neighbors_matches_per_node_queries():
     sizes = rng.choice([3, 6, 12, 40], size=200)
     base = knn_neighbors(cloud, k=3)
     grown = np.flatnonzero(sizes > 3)
-    system = widen_neighbors(cloud, base, grown, sizes[grown])
+    system, added = widen_neighbors(cloud, base, grown, sizes[grown])
     pairs, kth = nearest_by_size(cloud.positions, sizes)
     assert pairs_set(system) == pairs
+    # the added pairs are the new ones, in the system's pair order
+    assert {tuple(p) for p in added.tolist()} == pairs - pairs_set(base)
+    assert len(added) == len(pairs - pairs_set(base))
+    assert np.all(np.diff(added[:, 0] * 200 + added[:, 1]) > 0)
     np.testing.assert_allclose(system.kth_distance, kth, rtol=1e-14)
     assert system.node_k.tolist() == sizes.tolist() and system.k == 40
     assert np.all(np.diff(system.pairs[:, 0] * 200 + system.pairs[:, 1]) > 0)
     # one size for every listed node, and nothing listed
-    twice = widen_neighbors(cloud, base, [0, 5], 9)
+    twice, _ = widen_neighbors(cloud, base, [0, 5], 9)
     assert twice.node_k[[0, 5]].tolist() == [9, 9]
     assert pairs_set(twice) == pairs_set(base) | {
         (min(i, j), max(i, j)) for i in (0, 5) for j in np.argsort(
             np.linalg.norm(cloud.positions - cloud.positions[i], axis=1)
         )[1:10].tolist()}
-    assert pairs_set(widen_neighbors(cloud, base, [], 9)) == pairs_set(base)
+    same, none = widen_neighbors(cloud, base, [], 9)
+    assert pairs_set(same) == pairs_set(base) and none.shape == (0, 2)
     # a node widened to every other sample leaves nothing out
-    whole = widen_neighbors(cloud, base, [0, 5], [199, 9])
+    whole, _ = widen_neighbors(cloud, base, [0, 5], [199, 9])
     assert np.isposinf(whole.kth_distance[0])
     assert whole.kth_distance[5] == twice.kth_distance[5] < np.inf
     with pytest.raises(ValueError):
@@ -560,3 +567,26 @@ def test_graphs_without_distinct_pairs_are_empty():
             assert graph.n_arcs == 0
             assert graph.tails.dtype == np.int32
             assert graph.weights.dtype == float
+
+
+def test_merged_graphs_are_the_graph_of_the_joined_systems():
+    # A graph fitted from the pairs a widening adds, merged into the graph
+    # of the system it widened, is the graph of the widened system, array
+    # for array, in both modes; coincident samples and an empty part too.
+    rng = np.random.default_rng(25)
+    cloud = edge_case_cloud(rng, 80)
+    base = knn_neighbors(cloud, k=3)
+    grown, added = widen_neighbors(cloud, base, np.arange(0, 80, 3), 12)
+    empty = NeighborSystem(k=12, pairs=np.empty((0, 2), dtype=np.int64))
+    for build in (partial(build_confluent_graph, epsilon=math.pi / 2),
+                  build_geodesic_graph):
+        whole = build(cloud, grown)
+        merged = merge_graphs(build(cloud, base),
+                              build(cloud, NeighborSystem(k=12, pairs=added)))
+        assert merged.mode == whole.mode
+        for name in ("tails", "heads", "weights"):
+            assert getattr(merged, name).dtype == getattr(whole, name).dtype
+            assert getattr(merged, name).tobytes() == \
+                getattr(whole, name).tobytes()
+        same = merge_graphs(whole, build(cloud, empty))
+        assert same.weights.tobytes() == whole.weights.tobytes()

@@ -290,6 +290,44 @@ def test_nan_samples_rejected(tmp_path):
         read_point_cloud(path)
 
 
+@pytest.mark.parametrize("name, body, line, message", [
+    ("tree", "1 0 0 0 0 nan", 5, "radii must be finite and >= 0"),
+    ("tree", "1 0 0 0 0 -1.0", 5, "radii must be finite and >= 0"),
+    ("tree", "1 0 0 0 0 inf", 5, "radii must be finite and >= 0"),
+    ("tree", "1 0 nan 0 0 1", 5, "positions must be finite"),
+    ("tree", "1 0 0 -inf 0 1", 5, "positions must be finite"),
+    ("recon", "1 0 0 0 0 0 nan 1", 5, "alpha, length and weight must be"),
+    ("recon", "1 0 0 0 0 0 1 -2", 5, "alpha, length and weight must be"),
+    ("recon", "1 0 0 nan 0 0 1 1", 5, "positions must be finite"),
+    ("cloud", "nan 0 0 1 0 0", 4, "positions must be finite"),
+    ("cloud", "0 0 0 inf 0 0", 4, "tangents must be finite unit vectors"),
+    ("cloud", "0 0 0 1 0 0 -1.0", 4, "radii must be finite and >= 0"),
+    ("cloud", "0 0 0 1 0 0 inf", 4, "radii must be finite and >= 0"),
+], ids=["gt-radius-nan", "gt-radius-negative", "gt-radius-inf",
+        "gt-x-nan", "gt-y-inf", "recon-length-nan", "recon-weight-negative",
+        "recon-y-nan", "cloud-x-nan", "cloud-tangent-inf",
+        "cloud-radius-negative", "cloud-radius-inf"])
+def test_values_a_table_cannot_hold_fail_naming_their_line(tmp_path, name,
+                                                           body, line,
+                                                           message):
+    # The bad row follows a comment, a blank line and a good row, so the
+    # line named is the file's, not the row's.
+    path = tmp_path / f"{name}.txt"
+    if name == "cloud":
+        width = len(body.split())
+        good = "1 0 0 1 0 0" + " 1.0" * (width == 7)
+        text = f"# x y z tx ty tz\n\n{good}\n{body}\n{good}\n"
+        read = read_point_cloud
+    else:
+        root = "0 -1 0 0 0 " + ("1" if name == "tree" else "nan nan nan")
+        text = f"root 0\n# node parent\n\n{root}\n{body}\n"
+        read = read_tree
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{line}: {message}")):
+        read(path)
+
+
 @pytest.mark.parametrize("body, message", [
     # ground truth: a 2-node parent cycle, a parent out of range, no root
     ("root 0\n0 -1 0 0 0 1\n1 2 1 0 0 1\n2 1 2 0 0 1\n", "cycle detected"),
