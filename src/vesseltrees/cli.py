@@ -2,7 +2,7 @@
 
 Subcommands: ``synth`` (generate a ground-truth corpus), ``reconstruct``
 (point cloud(s) -> tree file(s)), ``evaluate`` (corpus + run -> CSV
-reports), ``graph-dump`` (inspect neighbor pairs / arc lists) and
+reports), ``graph-dump`` (the pairs or arcs a rooted cloud is solved from) and
 ``compare`` (merge two evaluation outputs). Flags can be preloaded from a
 JSON config file via ``--config``; explicit flags win over file values.
 Exit code is 0 on success, 1 with a one-line diagnostic on stderr
@@ -193,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-neighbors", action="store_true",
                    help="also write, as a pair CSV, the neighbour system "
                         "each tree was solved from (for connectivity "
-                        "evaluation); graph-dump --what neighbors writes "
-                        "the fixed-k system instead")
+                        "evaluation)")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -208,12 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-radius", action="store_true",
                    help="use plain zeta instead of max(radius, zeta)")
     p.add_argument("--tol-scales", type=_scales,
-                   default=list(DEFAULT_TOL_SCALES), metavar="S1,S2,...")
+                   default=list(DEFAULT_TOL_SCALES), metavar="S1,S2,...",
+                   help="ROC scales of zeta only: max(radius, scale * zeta)")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("graph-dump",
-                       help="write neighbor pairs or the weighted arc list")
+    p = sub.add_parser("graph-dump", help="the neighbour pairs, or arcs, "
+                       "that reconstruct --cloud solves the tree from; "
+                       "needs --root-index or --root-at")
     p.add_argument("--cloud", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--what", choices=("neighbors", "arcs"), default="arcs")

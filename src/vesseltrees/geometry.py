@@ -40,6 +40,11 @@ def _vec3(v, name: str) -> np.ndarray:
     return arr
 
 
+def unit_rows(vectors) -> np.ndarray:
+    """Mask of the unit-length rows, to within 1e-6; NaN and inf rows fail."""
+    return np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-6
+
+
 def _unit3(v, name: str) -> np.ndarray:
     arr = _vec3(v, name)
     if abs(float(np.linalg.norm(arr)) - 1.0) > UNIT_TOL:
@@ -79,9 +84,7 @@ class SampleCloud:
             raise ValueError("positions and tangents must have matching shapes")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-        # written so that NaN fails both checks
-        norms = np.linalg.norm(self.tangents, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):
+        if not unit_rows(self.tangents).all():
             raise ValueError("tangents must be unit vectors")
         if radii is not None:
             radii = np.asarray(radii, dtype=float).reshape(-1)

@@ -195,13 +195,6 @@ def _nearest_codes(tree, positions, rows, k, n):
     return np.concatenate(codes), kth
 
 
-def _all_pairs(n):
-    """Every pair ``i < j`` of ``n`` samples in lexicographic order, and
-    each row's radius, +inf: what ``_nearest_codes`` gives when every row
-    selects every other sample, without the k-d tree query."""
-    return np.stack(np.triu_indices(n, 1), axis=1), np.full(n, np.inf)
-
-
 def knn_neighbors(samples: SampleCloud, k: int) -> NeighborSystem:
     """Symmetrized Euclidean k-nearest-neighbor pairs of a ``SampleCloud``.
 
@@ -210,8 +203,7 @@ def knn_neighbors(samples: SampleCloud, k: int) -> NeighborSystem:
     several samples tied at the last queried distance enter a row is the
     k-d tree's choice, not the lowest index. ``k`` is clamped to |V| - 1
     with a warning when too large. At k = |V| - 1 every sample selects
-    every other, so the system is all pairs, every radius is +inf, and it
-    takes no k-d tree query (see ``_all_pairs``).
+    every other, so the system is all pairs and every radius is +inf.
     """
     from scipy.spatial import cKDTree
 
@@ -219,12 +211,9 @@ def knn_neighbors(samples: SampleCloud, k: int) -> NeighborSystem:
     if n < 2:
         raise ValueError("need at least 2 samples to build a neighbor system")
     k = _clamp_k(k, n, "k")
-    if k == n - 1:
-        pairs, kth = _all_pairs(n)
-    else:
-        codes, kth = _nearest_codes(cKDTree(samples.positions),
-                                    samples.positions, np.arange(n), k, n)
-        pairs = _decode_pairs(_sorted_unique(codes), n)
+    codes, kth = _nearest_codes(cKDTree(samples.positions), samples.positions,
+                                np.arange(n), k, n)
+    pairs = _decode_pairs(_sorted_unique(codes), n)
     return NeighborSystem(k=k, pairs=pairs, node_k=np.full(n, k),
                           kth_distance=kth)
 

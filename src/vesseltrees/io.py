@@ -8,9 +8,10 @@ weight`` for reconstructions (the root row carries ``nan`` edge fields).
 lines, and one ``np.loadtxt`` parses the rows of either format from that
 list (see ``_read_rows``); only a file it fails on is walked again line
 by line, for a message that names the first bad line. Values that no
-sample or tree can have (a non-finite position, tangent or radius, a
-negative radius, a NaN or negative edge value) fail at read time the
-same way, naming the first line that has one (see ``_refuse_rows``).
+sample or tree can have (a non-finite position or radius, a non-unit
+tangent, a negative radius, a NaN or negative edge value, a ground-truth
+node left out or a root line naming one with a parent) fail at read time
+the same way, naming the line that has one (see ``_refuse_rows``).
 
 Every table, the CSV reports included, is written column by column by
 ``_write_rows``. Floats are written with ``repr`` so every file round-trips
@@ -35,11 +36,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .geometry import SampleCloud
+from .geometry import SampleCloud, unit_rows
 from .graphs import NeighborSystem
 from .solvers import VesselTree
 from .synth import GroundTruthTree
-from .trees import EXCLUDED
+from .trees import EXCLUDED, NO_PARENT
 
 
 # Rows ``_write_rows`` formats at a time, so a file's cells are never all
@@ -378,15 +379,16 @@ def _refuse_bad_points(path, lines, positions, radii):
 def read_point_cloud(path) -> SampleCloud:
     """Load a point cloud of 6- or 7-column rows (see ``_read_rows``).
 
-    A row with a non-finite position or tangent, or a radius that is NaN,
-    infinite or negative, raises ValueError naming its line.
+    A row with a non-finite position, a non-unit tangent (``unit_rows``)
+    or a radius that is NaN, infinite or negative raises ValueError
+    naming its line.
     """
     with open(path) as fh:
         lines = fh.readlines()
     data = _read_rows(path, lines, (6, 7), "samples")
     radii = data[:, 6] if data.shape[1] == 7 else None
     _refuse_bad_points(path, lines, data[:, 0:3], radii)
-    _refuse_rows(path, lines, ~np.isfinite(data[:, 3:6]).all(axis=1),
+    _refuse_rows(path, lines, ~unit_rows(data[:, 3:6]),
                  "tangents must be finite unit vectors")
     return SampleCloud(data[:, 0:3], data[:, 3:6], radii)
 
@@ -422,7 +424,8 @@ def read_tree(path, cloud: SampleCloud | None = None):
     raises ValueError naming the file. A row with a non-finite position,
     a ground-truth radius that is NaN, infinite or negative, or an edge
     whose alpha, length or weight is NaN or negative raises ValueError
-    naming its line; edge values may be +inf.
+    naming its line; edge values may be +inf. So do a ground-truth parent
+    below -1 and a ground-truth root line that names a node with one.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -434,7 +437,7 @@ def read_tree(path, cloud: SampleCloud | None = None):
         try:
             if cells[:1] == ["root"]:
                 _, index = cells
-                root = int(index)
+                root, root_line = int(index), line_no
                 lines[line_no - 1] = ""   # a blank line keeps the numbering
             elif line.strip().startswith("# domain_size"):
                 domain_size = float(line.split()[2])
@@ -448,16 +451,18 @@ def read_tree(path, cloud: SampleCloud | None = None):
     nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
     _refuse_bad_points(path, lines, vals[:, :3], vals[:, 3] if gt else None)
-    if not gt:   # written so that NaN fails it; the root row has no edge
-        _refuse_rows(path, lines, (ids[:, 1] >= 0)
-                     & ~(vals[:, 3:] >= 0).all(axis=1),
-                     "alpha, length and weight must be >= 0")
     if gt:
+        _refuse_rows(path, lines, ids[:, 1] < NO_PARENT,
+                     "a ground-truth parent must be a node id, or -1 at "
+                     "the root")
         n = nodes.size
         if not np.array_equal(np.sort(nodes), np.arange(n)):
             raise ValueError(f"{path}: ground-truth node ids must be "
                              "contiguous from 0")
-    else:
+    else:   # written so that NaN fails it; the root row has no edge
+        _refuse_rows(path, lines, (ids[:, 1] >= 0)
+                     & ~(vals[:, 3:] >= 0).all(axis=1),
+                     "alpha, length and weight must be >= 0")
         if nodes.min() < 0:
             raise ValueError(f"{path}: node ids must be >= 0")
         if np.unique(nodes).size != nodes.size:
@@ -483,6 +488,9 @@ def read_tree(path, cloud: SampleCloud | None = None):
         tree.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if gt and root != tree.root:
+        raise ValueError(f"{path}:{root_line}: root {root} is not the node "
+                         f"without a parent, {tree.root}")
     if cloud is not None and not gt:   # arcs start at the parent sample
         excluded = parent == EXCLUDED
         tree.positions[excluded] = cloud.positions[excluded]

@@ -70,6 +70,8 @@ class MatchTolerance:
         return np.full(size, self.zeta)
 
     def scaled(self, factor: float) -> "MatchTolerance":
+        """``zeta`` times ``factor``, so ``max(radius, factor * zeta)``:
+        the radius is not scaled."""
         return MatchTolerance(zeta=self.zeta * factor,
                               uses_radius=self.uses_radius)
 
@@ -293,7 +295,9 @@ def roc_sweep(gt: GroundTruthTree, recon, scales, kind: str = "bifurcation",
               tol: MatchTolerance = None, step: float = DEFAULT_STEP):
     """ROC curve by sweeping the matching tolerance scale factor.
 
-    Both trees are resampled and queried once; every scale, in ascending
+    A scale s multiplies zeta only (max(radius, s * zeta)), so where most
+    radii exceed zeta, scales at and below 1 read almost the same. Both
+    trees are resampled and queried once; every scale, in ascending
     order, is a threshold on the same nearest-point distances.
     """
     tol = tol or MatchTolerance()

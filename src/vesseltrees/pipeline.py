@@ -113,11 +113,12 @@ def resolve_root(cloud, root_index=None, root_at=None) -> int:
     return int(np.argmin(np.linalg.norm(cloud.positions - target, axis=1)))
 
 
-def build_neighbors(cloud, cfg: PipelineConfig):
-    if cfg.anisotropic:
-        return anisotropic_knn(cloud, k_final=cfg.k_final, k_candidate=cfg.k,
-                               aspect_ratio_sq=cfg.aspect_ratio_sq)
-    return knn_neighbors(cloud, k=min(cfg.k, len(cloud) - 1))
+def _fit_graph(cloud, neighbors, cfg: PipelineConfig):
+    """The mode's graph over the pairs of ``neighbors``."""
+    if cfg.mode == "confluent":
+        return build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
+                                     elastic_lambda=cfg.elastic_lambda)
+    return build_geodesic_graph(cloud, neighbors)
 
 
 def _uncertified(tree, neighbors, radius=None) -> np.ndarray:
@@ -262,8 +263,8 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     ``_widen_failing``), and the next round fits arcs, or edges, for the
     pairs the widening added, and only for those. Once every sample is at
     the cap every radius is infinite, so the loop ends with the fixed-cap
-    graph's tree at the latest. Anisotropic neighbourhoods solve the graph
-    of ``build_neighbors`` once.
+    graph's tree at the latest. An anisotropic system (see
+    ``anisotropic_knn``, ``k`` its candidate count) is solved once.
 
     A round keeps the tree of the round before when every added arc
     weighs more than the potential at its head, or in geodesic mode every
@@ -303,14 +304,10 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
     if certify:
         neighbors = replace(knn_neighbors(cloud, min(CERTIFY_K0, cap)), k=cap)
     else:
-        neighbors = build_neighbors(cloud, cfg)
+        neighbors = anisotropic_knn(cloud, k_final=cfg.k_final,
+                                    k_candidate=cfg.k,
+                                    aspect_ratio_sq=cfg.aspect_ratio_sq)
     lap("neighbors_s")
-
-    def fit(system):
-        if cfg.mode == "confluent":
-            return build_confluent_graph(cloud, system, epsilon=cfg.epsilon,
-                                         elastic_lambda=cfg.elastic_lambda)
-        return build_geodesic_graph(cloud, system)
 
     def check(radius=None):
         failing = _uncertified(tree, neighbors, radius)
@@ -320,7 +317,7 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
 
     # unsolved: the arcs fitted since the last solve; added: this round's
     graph = tree = None
-    unsolved = added = fit(neighbors)
+    unsolved = added = _fit_graph(cloud, neighbors, cfg)
     lap("graph_s")
     rounds, uncertified = 0, None
     while True:
@@ -344,7 +341,7 @@ def reconstruct_cloud(cloud, cfg: PipelineConfig, root: int):
             break
         neighbors, pairs = _widen_failing(cloud, neighbors, tree, failed, cap)
         lap("neighbors_s")
-        added = fit(NeighborSystem(k=neighbors.k, pairs=pairs))
+        added = _fit_graph(cloud, NeighborSystem(neighbors.k, pairs), cfg)
         unsolved = added if unsolved is None else merge_graphs(unsolved,
                                                                added)
         lap("graph_s")
@@ -485,16 +482,21 @@ def recon_name(item_id: int, level: int) -> str:
     return f"recon_{item_id:03d}_l{level:02d}"
 
 
+def _reconstruct_file(cloud_path, cfg: PipelineConfig, root_position=None):
+    """The cloud read from ``cloud_path`` and what ``reconstruct_cloud``
+    returns for it, rooted as ``cfg`` says, else nearest ``root_position``."""
+    cloud = vio.read_point_cloud(cloud_path)
+    root = resolve_root(cloud, cfg.root_index,
+                        root_position if cfg.root_at is None else cfg.root_at)
+    return (cloud, *reconstruct_cloud(cloud, cfg, root))
+
+
 def _reconstruct_item(corpus_dir, out_dir, cfg, dump_neighbors, item):
     results = []
     for cloud_entry in item["clouds"]:
-        cloud = vio.read_point_cloud(
-            os.path.join(corpus_dir, cloud_entry["path"]))
-        root = resolve_root(
-            cloud, cfg.root_index,
-            cfg.root_at if cfg.root_at is not None
-            else item["root_position"])
-        tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+        _, tree, stats, neighbors = _reconstruct_file(
+            os.path.join(corpus_dir, cloud_entry["path"]), cfg,
+            item["root_position"])
         name = recon_name(item["id"], cloud_entry["level"])
         vio.write_tree(os.path.join(out_dir, "trees", name + ".txt"), tree)
         vio.write_json(os.path.join(out_dir, "stats", name + ".json"), stats)
@@ -530,9 +532,7 @@ def reconstruct_single(cloud_path, out_path, cfg: PipelineConfig,
     """Reconstruct one cloud into ``out_path``; beside it go
     ``<stem>_stats.json`` and, with ``dump_neighbors``, the neighbour
     system the tree was solved from as ``<stem>_neighbors.csv``."""
-    cloud = vio.read_point_cloud(cloud_path)
-    root = resolve_root(cloud, cfg.root_index, cfg.root_at)
-    tree, stats, neighbors = reconstruct_cloud(cloud, cfg, root)
+    _, tree, stats, neighbors = _reconstruct_file(cloud_path, cfg)
     stem = os.path.splitext(out_path)[0]
     vio.write_tree(out_path, tree)
     vio.write_json(stem + "_stats.json", stats)
@@ -674,31 +674,25 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
 
 def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
                what: str = "arcs"):
-    """Write the neighbor pairs or the weighted arc list of one cloud.
-
-    Both come from the fixed-k system of ``build_neighbors``, not from the
-    system that ``reconstruct_cloud`` grows and solves."""
-    cloud = vio.read_point_cloud(cloud_path)
-    neighbors = build_neighbors(cloud, cfg)
+    """Write the neighbour pairs that one cloud's tree, rooted as ``cfg``
+    says, was solved from (as ``reconstruct --dump-neighbors`` does), or
+    the mode's weighted arcs over those pairs."""
+    if what not in ("neighbors", "arcs"):
+        raise ValueError(f"unknown dump kind {what!r}; "
+                         "choose 'neighbors' or 'arcs'")
+    cloud, _, _, neighbors = _reconstruct_file(cloud_path, cfg)
     if what == "neighbors":
         vio.write_neighbor_pairs(out_path, neighbors)
         return {"n_pairs": int(neighbors.n_pairs)}
-    if what != "arcs":
-        raise ValueError(f"unknown dump kind {what!r}; "
-                         "choose 'neighbors' or 'arcs'")
+    graph = _fit_graph(cloud, neighbors, cfg)
+    header = ["u", "v", "weight"]
+    columns = [graph.tails, graph.heads, graph.weights]
     if cfg.mode == "confluent":
-        graph = build_confluent_graph(cloud, neighbors, epsilon=cfg.epsilon,
-                                      elastic_lambda=cfg.elastic_lambda)
-        _, alpha, length, _ = batch_arc_geometry(
-            cloud.positions[graph.tails], cloud.tangents[graph.tails],
-            cloud.positions[graph.heads])
-        vio.write_csv_columns(
-            out_path, ["tail", "head", "weight", "alpha", "length"],
-            [graph.tails, graph.heads, graph.weights, alpha, length])
-    else:
-        graph = build_geodesic_graph(cloud, neighbors)
-        vio.write_csv_columns(out_path, ["u", "v", "weight"],
-                              [graph.tails, graph.heads, graph.weights])
+        header = ["tail", "head", "weight", "alpha", "length"]
+        columns += batch_arc_geometry(cloud.positions[graph.tails],
+                                      cloud.tangents[graph.tails],
+                                      cloud.positions[graph.heads])[1:3]
+    vio.write_csv_columns(out_path, header, columns)
     return {"n_arcs": int(graph.n_arcs)}
 
 

@@ -13,6 +13,7 @@ import pytest
 import vesseltrees
 from vesseltrees import io as vio
 from vesseltrees.cli import main
+from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph
 from vesseltrees.io import read_csv, read_json, read_neighbor_pairs, \
     read_point_cloud, read_tree
 from vesseltrees.pipeline import PipelineConfig, recon_name, \
@@ -152,14 +153,16 @@ def test_single_cloud_reconstruct_and_graph_dump(tmp_path):
 
     arcs_csv = tmp_path / "arcs.csv"
     assert run(["graph-dump", "--cloud", str(cloud_path), "--out",
-                str(arcs_csv), "--what", "arcs", "--k", "20"]) == 0
+                str(arcs_csv), "--what", "arcs", "--k", "20",
+                "--root-at", ",".join(str(c) for c in root)]) == 0
     header, rows = read_csv(arcs_csv)
     assert header == ["tail", "head", "weight", "alpha", "length"]
     assert rows
 
     pairs_csv = tmp_path / "pairs.csv"
     assert run(["graph-dump", "--cloud", str(cloud_path), "--out",
-                str(pairs_csv), "--what", "neighbors", "--k", "20"]) == 0
+                str(pairs_csv), "--what", "neighbors", "--k", "20",
+                "--root-at", ",".join(str(c) for c in root)]) == 0
     header, rows = read_csv(pairs_csv)
     assert header == ["u", "v"]
     assert rows
@@ -184,6 +187,50 @@ def test_single_cloud_dump_is_the_solved_system(tmp_path):
     assert np.array_equal(dumped.pairs, solved.pairs)
     stats = read_json(tmp_path / "t_stats.json")
     assert stats["n_neighbor_pairs"] == dumped.n_pairs
+
+
+@pytest.mark.parametrize("mode", ["confluent", "geodesic", "anisotropic"])
+def test_graph_dump_writes_the_system_reconstruct_solved(tmp_path, mode):
+    # graph-dump --what neighbors writes the bytes of reconstruct
+    # --dump-neighbors, and --what arcs the mode's graph over those pairs
+    corpus = tmp_path / "corpus"
+    small_synth(corpus, extra=["--tangent-noise", "0.1"])
+    manifest = read_json(corpus / "manifest.json")
+    cloud_path = corpus / manifest["items"][0]["clouds"][0]["path"]
+    root = ",".join(str(c) for c in manifest["items"][0]["root_position"])
+    flags = ["--cloud", str(cloud_path), "--k", "60", "--root-at", root]
+    flags += ["--anisotropic"] if mode == "anisotropic" else ["--mode", mode]
+    assert run(["reconstruct", *flags, "--out", str(tmp_path / "t.txt"),
+                "--dump-neighbors"]) == 0
+    assert run(["graph-dump", *flags, "--out", str(tmp_path / "n.csv"),
+                "--what", "neighbors"]) == 0
+    dumped = (tmp_path / "t_neighbors.csv").read_bytes()
+    assert (tmp_path / "n.csv").read_bytes() == dumped
+    assert run(["graph-dump", *flags, "--out", str(tmp_path / "a.csv"),
+                "--what", "arcs"]) == 0
+    cloud = read_point_cloud(cloud_path)
+    system = read_neighbor_pairs(tmp_path / "n.csv", cloud=cloud)
+    graph = (build_geodesic_graph(cloud, system) if mode == "geodesic"
+             else build_confluent_graph(cloud, system, epsilon=math.pi / 2))
+    _, rows = read_csv(tmp_path / "a.csv")
+    assert [int(r[0]) for r in rows] == graph.tails.tolist()
+    assert [int(r[1]) for r in rows] == graph.heads.tolist()
+    assert [float(r[2]) for r in rows] == graph.weights.tolist()
+
+
+def test_graph_dump_without_a_root_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    small_synth(corpus)
+    manifest = read_json(corpus / "manifest.json")
+    cloud_path = corpus / manifest["items"][0]["clouds"][0]["path"]
+    capsys.readouterr()
+    assert run(["graph-dump", "--cloud", str(cloud_path), "--out",
+                str(tmp_path / "a.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: no root given: pass a root index or coordinates"]
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_connectivity_scores_the_system_of_each_mode(tmp_path):
@@ -241,13 +288,15 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     cfg_path.write_text(json.dumps({"k": 10, "what": "neighbors"}))
     out_a = tmp_path / "a.csv"
     assert run(["--config", str(cfg_path), "graph-dump", "--cloud",
-                str(cloud_path), "--out", str(out_a)]) == 0
+                str(cloud_path), "--out", str(out_a), "--root-index",
+                "0"]) == 0
     header, _ = read_csv(out_a)
     assert header == ["u", "v"]  # config file set what=neighbors
 
     out_b = tmp_path / "b.csv"
     assert run(["--config", str(cfg_path), "graph-dump", "--cloud",
-                str(cloud_path), "--out", str(out_b), "--what", "arcs"]) == 0
+                str(cloud_path), "--out", str(out_b), "--what", "arcs",
+                "--root-index", "0"]) == 0
     header, _ = read_csv(out_b)
     assert header[0] == "tail"  # explicit flag beat the config file
 
@@ -569,7 +618,8 @@ def test_synth_and_compare_never_import_scipy(tmp_path):
     (5, "nan", "radii must be finite and >= 0"),
     (5, "-1.0", "radii must be finite and >= 0"),
     (2, "nan", "positions must be finite"),
-], ids=["radius-nan", "radius-negative", "x-nan"])
+    (1, "-2", "a ground-truth parent must be a node id, or -1 at the root"),
+], ids=["radius-nan", "radius-negative", "x-nan", "parent-excluded"])
 def test_evaluate_refuses_bad_ground_truth_values_by_line(tmp_path, capsys,
                                                           column, value,
                                                           message):

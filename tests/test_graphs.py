@@ -185,12 +185,7 @@ def kd_tree_system(cloud, k):
     return graphs._decode_pairs(graphs._sorted_unique(codes), n), kth
 
 
-class _NoQueryTree:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("the all-pairs system needs no k-d tree")
-
-
-def test_all_pairs_system_is_the_kd_tree_system(monkeypatch):
+def test_all_pairs_system_is_the_kd_tree_system():
     rng = np.random.default_rng(21)
     clouds = [random_cloud(rng, n, box=box) for n, box in
               ((2, 10.0), (3, 1e-3), (40, 10.0), (257, 1e4))]
@@ -204,25 +199,32 @@ def test_all_pairs_system_is_the_kd_tree_system(monkeypatch):
     for cloud in clouds:
         n = len(cloud)
         pairs, kth = kd_tree_system(cloud, n - 1)
-        with monkeypatch.context() as patch:
-            patch.setattr(scipy.spatial, "cKDTree", _NoQueryTree)
-            if n > 2:   # the stub is in place: a smaller k does query
-                with pytest.raises(AssertionError, match="no k-d tree"):
-                    knn_neighbors(cloud, n - 2)
-            system = knn_neighbors(cloud, n - 1)
-            assert system.pairs.dtype == pairs.dtype
-            assert system.pairs.tobytes() == pairs.tobytes()
-            # every sample selected every other, so nothing is left out
-            assert np.isposinf(kth).all()
-            assert system.kth_distance.tobytes() == kth.tobytes()
-            assert system.node_k.tolist() == [n - 1] * n
-            assert system.k == n - 1
-            # an oversized k still warns and clamps to the same system
-            with pytest.warns(UserWarning, match="clamping"):
-                clamped = knn_neighbors(cloud, n + 3)
+        system = knn_neighbors(cloud, n - 1)
+        assert system.pairs.dtype == pairs.dtype
+        assert system.pairs.tobytes() == pairs.tobytes()
+        # every sample selected every other, so nothing is left out
+        assert np.isposinf(kth).all()
+        assert system.kth_distance.tobytes() == kth.tobytes()
+        assert system.node_k.tolist() == [n - 1] * n
+        assert system.k == n - 1
+        # an oversized k still warns and clamps to the same system
+        with pytest.warns(UserWarning, match="clamping"):
+            clamped = knn_neighbors(cloud, n + 3)
         assert clamped.k == n - 1
         assert clamped.pairs.tobytes() == pairs.tobytes()
         assert clamped.kth_distance.tobytes() == kth.tobytes()
+        # widening every node of the K = 1 system to N - 1 gives all pairs
+        base = knn_neighbors(cloud, 1)
+        whole, added = widen_neighbors(cloud, base, np.arange(n), n - 1)
+        every = np.stack(np.triu_indices(n, 1), axis=1)
+        assert whole.pairs.dtype == every.dtype
+        assert whole.pairs.tobytes() == every.tobytes()
+        assert np.isposinf(whole.kth_distance).all()
+        assert whole.node_k.tolist() == [n - 1] * n
+        assert whole.k == n - 1
+        assert pairs_set(base) | {tuple(p) for p in added.tolist()} == \
+            pairs_set(whole)
+        assert len(added) == whole.n_pairs - base.n_pairs
 
 
 def test_knn_matches_brute_force():

@@ -303,10 +303,18 @@ def test_nan_samples_rejected(tmp_path):
     ("cloud", "0 0 0 inf 0 0", 4, "tangents must be finite unit vectors"),
     ("cloud", "0 0 0 1 0 0 -1.0", 4, "radii must be finite and >= 0"),
     ("cloud", "0 0 0 1 0 0 inf", 4, "radii must be finite and >= 0"),
+    ("tree", "1 -2 0 0 0 1", 5, "a ground-truth parent must be a node id"),
+    ("tree", "1 -5 0 0 0 1", 5, "a ground-truth parent must be a node id"),
+    ("cloud", "0 0 0 2 0 0", 4, "tangents must be finite unit vectors"),
+    ("cloud", "0 0 0 0 0 0", 4, "tangents must be finite unit vectors"),
+    ("cloud", "0 0 0 0.6 0.8 0.01", 4, "tangents must be finite unit vectors"),
+    ("cloud", "0 0 0 1.000002 0 0", 4, "tangents must be finite unit vectors"),
 ], ids=["gt-radius-nan", "gt-radius-negative", "gt-radius-inf",
         "gt-x-nan", "gt-y-inf", "recon-length-nan", "recon-weight-negative",
         "recon-y-nan", "cloud-x-nan", "cloud-tangent-inf",
-        "cloud-radius-negative", "cloud-radius-inf"])
+        "cloud-radius-negative", "cloud-radius-inf", "gt-parent-excluded",
+        "gt-parent-below", "cloud-tangent-long", "cloud-tangent-zero",
+        "cloud-tangent-off-unit", "cloud-tangent-just-off-unit"])
 def test_values_a_table_cannot_hold_fail_naming_their_line(tmp_path, name,
                                                            body, line,
                                                            message):
@@ -326,6 +334,32 @@ def test_values_a_table_cannot_hold_fail_naming_their_line(tmp_path, name,
     with pytest.raises(ValueError, match=re.escape(
             f"{path}:{line}: {message}")):
         read(path)
+
+
+GT_CHAIN = "".join(f"{i} {i - 1} {i} 0 0 1\n" for i in range(8))
+
+
+@pytest.mark.parametrize("header", ["root 3", "root 9", "root -1"])
+def test_ground_truth_root_header_must_name_the_root(tmp_path, header):
+    # an 8-node chain rooted at node 0; the header names another node
+    path = tmp_path / "tree.txt"
+    path.write_text(f"# node parent x y z radius\n{header}\n{GT_CHAIN}")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: {header} is not the node without a parent, 0")):
+        read_tree(path)
+    path.write_text(f"root 0\n{GT_CHAIN}")
+    assert read_tree(path).root == 0
+
+
+def test_unit_tangents_read_to_the_sample_cloud_tolerance(tmp_path):
+    # 1e-6 off unit length is what a SampleCloud accepts, and so does the
+    # reader
+    path = tmp_path / "cloud.txt"
+    path.write_text("0 0 0 1.0000009 0 0\n1 0 0 0 0.9999991 0\n"
+                    "2 0 0 0.6 0.8 0\n")
+    cloud = read_point_cloud(path)
+    assert cloud.tangents[:, :2].tolist() == [[1.0000009, 0.0],
+                                              [0.0, 0.9999991], [0.6, 0.8]]
 
 
 @pytest.mark.parametrize("body, message", [
