@@ -2,16 +2,19 @@
 
 Subcommands: ``synth`` (generate a ground-truth corpus), ``reconstruct``
 (point cloud(s) -> tree file(s)), ``evaluate`` (corpus + run -> CSV
-reports), ``graph-dump`` (the pairs or arcs a rooted cloud is solved from) and
+reports), ``graph-dump`` (the arcs a rooted cloud is solved from) and
 ``compare`` (merge two evaluation outputs). Flags can be preloaded from a
-JSON config file via ``--config``; explicit flags win over file values.
-Exit code is 0 on success, 1 with a one-line diagnostic on stderr
-otherwise.
+JSON config file via ``--config``; explicit flags win over file values,
+which win over ``PipelineConfig``'s and ``SamplerConfig``'s. Exit code is
+0 on success, 1 with a one-line diagnostic on stderr when a run fails,
+and 2 with argparse's usage text for a command line that argparse rejects
+(``--jobs 0``, ``--k abc``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -62,33 +65,30 @@ def _coords(text: str):
 
 
 def _add_recon_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=("confluent", "geodesic"),
-                   default="confluent")
-    p.add_argument("--k", type=int, default=500,
+    p.add_argument("--mode", choices=("confluent", "geodesic"))
+    p.add_argument("--k", type=int,
                    help="cap on each node's isotropic KNN size; each node's "
                         "neighbourhood grows up to it until the tree is "
                         "certified the same as at this fixed size, in "
                         "either mode (candidate size when --anisotropic)")
     p.add_argument("--anisotropic", action="store_true",
                    help="use tangent-aligned Mahalanobis neighborhoods")
-    p.add_argument("--k-final", type=int, default=4)
-    p.add_argument("--aspect-ratio-sq", type=float, default=10.0)
-    p.add_argument("--epsilon", type=float, default=math.pi / 2,
+    p.add_argument("--k-final", type=int)
+    p.add_argument("--aspect-ratio-sq", type=float)
+    p.add_argument("--epsilon", type=float,
                    help="confluence angle threshold in radians")
-    p.add_argument("--elastic-lambda", type=float, default=0.0,
+    p.add_argument("--elastic-lambda", type=float,
                    help="extra cost per radian of total arc turning")
-    p.add_argument("--root-index", type=int, default=None)
-    p.add_argument("--root-at", type=_coords, default=None,
-                   metavar="X,Y,Z",
+    p.add_argument("--root-index", type=int)
+    p.add_argument("--root-at", type=_coords, metavar="X,Y,Z",
                    help="root is the sample nearest these coordinates")
+    # each flag is named after the config field it sets, and defaults to it
+    p.set_defaults(**dataclasses.asdict(PipelineConfig()))
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        mode=args.mode, k=args.k, anisotropic=args.anisotropic,
-        k_final=args.k_final, aspect_ratio_sq=args.aspect_ratio_sq,
-        epsilon=args.epsilon, elastic_lambda=args.elastic_lambda,
-        root_index=args.root_index, root_at=args.root_at)
+    return PipelineConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(PipelineConfig)})
 
 
 def _cmd_synth(args) -> int:
@@ -139,7 +139,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_graph_dump(args) -> int:
     cfg = _config_from_args(args)
-    info = graph_dump(args.cloud, args.out, cfg, what=args.what)
+    info = graph_dump(args.cloud, args.out, cfg)
     print(f"wrote {args.out}: "
           + ", ".join(f"{k}={v}" for k, v in info.items()))
     return 0
@@ -170,16 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-relocate", action="store_true",
                    help="disable bifurcation relocation during growth")
-    p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--position-noise", type=float, default=0.0)
-    p.add_argument("--tangent-noise", type=float, default=0.0,
+    sampler = SamplerConfig()
+    p.add_argument("--spacing", type=float, default=sampler.spacing)
+    p.add_argument("--position-noise", type=float,
+                   default=sampler.position_noise_std)
+    p.add_argument("--tangent-noise", type=float,
+                   default=sampler.tangent_noise_std_rad,
                    help="tangent rotation std in radians")
-    p.add_argument("--flip-prob", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--sweep-param", choices=sorted(SWEEP_PARAMS),
-                   default=None)
-    p.add_argument("--sweep-values", type=_floats, default=None,
-                   metavar="V1,V2,...")
+    p.add_argument("--flip-prob", type=float,
+                   default=sampler.orientation_flip_prob)
+    p.add_argument("--dropout", type=float, default=sampler.dropout_prob)
+    p.add_argument("--sweep-param", choices=sorted(SWEEP_PARAMS))
+    p.add_argument("--sweep-values", type=_floats, metavar="V1,V2,...")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_synth)
 
@@ -212,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("graph-dump", help="the neighbour pairs, or arcs, "
-                       "that reconstruct --cloud solves the tree from; "
-                       "needs --root-index or --root-at")
+    p = sub.add_parser("graph-dump", help="the mode's arcs over the "
+                       "neighbour pairs that reconstruct --cloud solves the "
+                       "tree from (reconstruct --dump-neighbors writes the "
+                       "pairs); needs --root-index or --root-at")
     p.add_argument("--cloud", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--what", choices=("neighbors", "arcs"), default="arcs")
     _add_recon_flags(p)
     p.set_defaults(func=_cmd_graph_dump)
 

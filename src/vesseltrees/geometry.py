@@ -17,7 +17,7 @@ are kept independent so one can cross-check the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +90,8 @@ class SampleCloud:
             radii = np.asarray(radii, dtype=float).reshape(-1)
             if radii.shape[0] != self.positions.shape[0]:
                 raise ValueError("radii length must match sample count")
-            if not np.all(radii >= 0):
-                raise ValueError("radii must be >= 0")
+            if not np.all(np.isfinite(radii) & (radii >= 0)):
+                raise ValueError("radii must be finite and >= 0")
         self.radii = radii
 
     def __len__(self) -> int:
@@ -104,23 +104,17 @@ class SampleCloud:
 
 @dataclass
 class FlowArc:
-    """A directed circular arc with its cached geometry and cost.
+    """A directed circular arc with its cached geometry.
 
     ``alpha`` is the angle between the start tangent and the chord; the arc
     turns by ``2 * alpha`` in total, so ``length = chord_len * alpha /
-    sin(alpha)`` (chord length in the straight limit). ``confluence_angle``
-    and ``weight`` are filled in once the flow estimate at the far end is
-    known.
+    sin(alpha)`` (chord length in the straight limit).
     """
 
-    start: int
-    end: int
     chord_len: float
     alpha: float
     length: float
     end_tangent: np.ndarray
-    confluence_angle: float | None = None
-    weight: float | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -139,7 +133,7 @@ def arc_end_tangent(start_tangent, chord_dir) -> np.ndarray:
     return 2.0 * float(np.dot(t, e)) * e - t
 
 
-def fit_arc(p: OrientedSample, q, start: int = -1, end: int = -1) -> FlowArc:
+def fit_arc(p: OrientedSample, q) -> FlowArc:
     """Fit the arc that starts at ``p`` along its tangent and ends at ``q``.
 
     The arc lies in the plane spanned by the chord and the start tangent.
@@ -166,8 +160,8 @@ def fit_arc(p: OrientedSample, q, start: int = -1, end: int = -1) -> FlowArc:
     else:
         length = d * alpha / math.sin(alpha)
     end_tan = 2.0 * cos_a * e - p.tangent
-    return FlowArc(start=start, end=end, chord_len=d, alpha=alpha,
-                   length=length, end_tangent=end_tan)
+    return FlowArc(chord_len=d, alpha=alpha, length=length,
+                   end_tangent=end_tan)
 
 
 def confluence_angle(arc: FlowArc, tangent_at_end) -> float:

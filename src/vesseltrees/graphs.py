@@ -266,9 +266,8 @@ def widen_neighbors(samples: SampleCloud, neighbors: NeighborSystem,
         _decode_pairs(added, n)
 
 
-def anisotropic_knn(samples: SampleCloud, k_final: int = 4,
-                    k_candidate: int = 500,
-                    aspect_ratio_sq: float = 10.0) -> NeighborSystem:
+def anisotropic_knn(samples: SampleCloud, k_final: int, k_candidate: int,
+                    aspect_ratio_sq: float) -> NeighborSystem:
     """Tangent-aligned Mahalanobis nearest neighbors of a ``SampleCloud``.
 
     Per node, ``k_candidate`` Euclidean candidates are re-scored with

@@ -424,8 +424,8 @@ def read_tree(path, cloud: SampleCloud | None = None):
     raises ValueError naming the file. A row with a non-finite position,
     a ground-truth radius that is NaN, infinite or negative, or an edge
     whose alpha, length or weight is NaN or negative raises ValueError
-    naming its line; edge values may be +inf. So do a ground-truth parent
-    below -1 and a ground-truth root line that names a node with one.
+    naming its line; edge values may be +inf. So do a parent below -1 and
+    a root line that names no node, or a node with a parent.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -451,10 +451,10 @@ def read_tree(path, cloud: SampleCloud | None = None):
     nodes = ids[:, 0]
     gt = vals.shape[1] == 4   # node parent + 4 floats: ground truth
     _refuse_bad_points(path, lines, vals[:, :3], vals[:, 3] if gt else None)
+    _refuse_rows(path, lines, ids[:, 1] < NO_PARENT,
+                 ("a ground-truth parent" if gt else "a parent")
+                 + " must be a node id, or -1 at the root")
     if gt:
-        _refuse_rows(path, lines, ids[:, 1] < NO_PARENT,
-                     "a ground-truth parent must be a node id, or -1 at "
-                     "the root")
         n = nodes.size
         if not np.array_equal(np.sort(nodes), np.arange(n)):
             raise ValueError(f"{path}: ground-truth node ids must be "
@@ -475,6 +475,9 @@ def read_tree(path, cloud: SampleCloud | None = None):
     table = np.full((n, vals.shape[1]), np.nan)
     parent[nodes] = ids[:, 1]
     table[nodes] = vals
+    if not gt and not (0 <= root < n and parent[root] == NO_PARENT):
+        raise ValueError(f"{path}:{root_line}: root {root} is not a node "
+                         "without a parent")
     if gt:
         tree = GroundTruthTree(positions=table[:, :3], radii=table[:, 3],
                                parent=parent, domain_size=domain_size or 0.0)

@@ -50,6 +50,8 @@ _SNAP_FRAC = 1e-9
 # is a long polyline (255 edges give 56k points on the large-k100
 # benchmark tree), so the blocks run over points, not edges.
 _RESAMPLE_BLOCK = 4096
+# Points ``project_to_tree`` scores against all ground-truth edges at once.
+_PROJECT_BLOCK = 4096
 
 
 @dataclass
@@ -216,16 +218,16 @@ def _point_along_branch(tree, node, child, distance, children):
         cur_node = int(kids[0])
 
 
-def _branch_direction(tree, node, child, children, probe):
+def _branch_direction(tree, node, child, children):
     """Unit direction of the branch through ``child``, measured at ``child``.
 
-    The chord of the first ``probe`` voxels of the child's subtree
-    polyline; for leaf children the chord from the branching node itself.
+    The chord of the first ``BRANCH_PROBE_LENGTH`` voxels of the child's
+    subtree polyline; for leaf children the chord from the branching node.
     """
     pos = tree.positions
     kids = children[int(child)]
     if kids.size:
-        vec = _point_along_branch(tree, child, kids[0], probe,
+        vec = _point_along_branch(tree, child, kids[0], BRANCH_PROBE_LENGTH,
                                   children) - pos[int(child)]
     else:
         vec = pos[int(child)] - pos[int(node)]
@@ -233,8 +235,7 @@ def _branch_direction(tree, node, child, children, probe):
     return vec / norm if norm > 1e-12 else None
 
 
-def bifurcation_angle(tree, node, children=None,
-                      probe: float = BRANCH_PROBE_LENGTH) -> float:
+def bifurcation_angle(tree, node, children=None) -> float:
     """Angle between the two child branch directions at a branching node.
 
     With three or more children the widest pair is reported, which keeps
@@ -247,7 +248,7 @@ def bifurcation_angle(tree, node, children=None,
         raise ValueError(f"node {node} has fewer than two children")
     dirs = []
     for child in kids:
-        d = _branch_direction(tree, node, child, children, probe)
+        d = _branch_direction(tree, node, child, children)
         if d is not None:
             dirs.append(d)
     if len(dirs) < 2:
@@ -311,7 +312,7 @@ def roc_sweep(gt: GroundTruthTree, recon, scales, kind: str = "bifurcation",
 # Connectivity quality of neighbor systems
 # ---------------------------------------------------------------------------
 
-def project_to_tree(gt: GroundTruthTree, points, chunk: int = 4096):
+def project_to_tree(gt: GroundTruthTree, points):
     """Project points onto the tree: (edge_child, frac, distance) arrays."""
     childs = gt.edge_children()
     a = gt.positions[gt.parent[childs]]
@@ -324,17 +325,17 @@ def project_to_tree(gt: GroundTruthTree, points, chunk: int = 4096):
     out_edge = np.empty(n, dtype=np.int64)
     out_frac = np.empty(n)
     out_dist = np.empty(n)
-    for lo in range(0, n, chunk):
-        pts = points[lo:lo + chunk]
+    for lo in range(0, n, _PROJECT_BLOCK):
+        pts = points[lo:lo + _PROJECT_BLOCK]
         frac = np.einsum("pj,ej->pe", pts, d) - np.einsum("ej,ej->e", a, d)
         frac = np.clip(frac / len_sq, 0.0, 1.0)
         foot = a[None, :, :] + frac[:, :, None] * d[None, :, :]
         dist = np.linalg.norm(pts[:, None, :] - foot, axis=2)
         best = np.argmin(dist, axis=1)
         rows = np.arange(pts.shape[0])
-        out_edge[lo:lo + chunk] = childs[best]
-        out_frac[lo:lo + chunk] = frac[rows, best]
-        out_dist[lo:lo + chunk] = dist[rows, best]
+        out_edge[lo:lo + _PROJECT_BLOCK] = childs[best]
+        out_frac[lo:lo + _PROJECT_BLOCK] = frac[rows, best]
+        out_dist[lo:lo + _PROJECT_BLOCK] = dist[rows, best]
     return out_edge, out_frac, out_dist
 
 

@@ -431,6 +431,8 @@ def synth_corpus(out_dir, *, n_trees: int = 15, n_leaves: int = 8,
     """Generate a ground-truth corpus with sampled clouds; returns manifest."""
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if sweep_param is None and sweep_values is not None:
+        raise ValueError("sweep values given but no sweep parameter")
     sampler = sampler or SamplerConfig()
     if sweep_param is not None:
         field = SWEEP_PARAMS.get(sweep_param)
@@ -672,18 +674,11 @@ def evaluate_corpus(corpus_dir, recon_dir, out_dir, *,
 # graph-dump and compare
 # ---------------------------------------------------------------------------
 
-def graph_dump(cloud_path, out_path, cfg: PipelineConfig,
-               what: str = "arcs"):
-    """Write the neighbour pairs that one cloud's tree, rooted as ``cfg``
-    says, was solved from (as ``reconstruct --dump-neighbors`` does), or
-    the mode's weighted arcs over those pairs."""
-    if what not in ("neighbors", "arcs"):
-        raise ValueError(f"unknown dump kind {what!r}; "
-                         "choose 'neighbors' or 'arcs'")
+def graph_dump(cloud_path, out_path, cfg: PipelineConfig):
+    """Write the mode's weighted arcs over the neighbour pairs that one
+    cloud's tree, rooted as ``cfg`` says, was solved from; those pairs are
+    what ``reconstruct --dump-neighbors`` writes."""
     cloud, _, _, neighbors = _reconstruct_file(cloud_path, cfg)
-    if what == "neighbors":
-        vio.write_neighbor_pairs(out_path, neighbors)
-        return {"n_pairs": int(neighbors.n_pairs)}
     graph = _fit_graph(cloud, neighbors, cfg)
     header = ["u", "v", "weight"]
     columns = [graph.tails, graph.heads, graph.weights]

@@ -141,6 +141,9 @@ class ParentTree:
         n = parent.shape[0]
         if np.any((parent < EXCLUDED) | (parent >= n)):
             raise ValueError(f"parent ids must lie in [{EXCLUDED}, {n})")
+        if self.radii is not None and not np.all(
+                np.isfinite(self.radii) & (self.radii >= 0)):
+            raise ValueError("radii must be finite and >= 0")
         child = np.flatnonzero(parent >= 0)
         stray = (parent != EXCLUDED) & ~reachable_mask(
             n, parent[child], child, self.root)

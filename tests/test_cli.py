@@ -12,12 +12,13 @@ import pytest
 
 import vesseltrees
 from vesseltrees import io as vio
-from vesseltrees.cli import main
+from vesseltrees.cli import _config_from_args, build_parser, main
 from vesseltrees.graphs import build_confluent_graph, build_geodesic_graph
 from vesseltrees.io import read_csv, read_json, read_neighbor_pairs, \
     read_point_cloud, read_tree
 from vesseltrees.pipeline import PipelineConfig, recon_name, \
     reconstruct_cloud
+from vesseltrees.synth import SamplerConfig
 
 
 def run(args):
@@ -153,18 +154,10 @@ def test_single_cloud_reconstruct_and_graph_dump(tmp_path):
 
     arcs_csv = tmp_path / "arcs.csv"
     assert run(["graph-dump", "--cloud", str(cloud_path), "--out",
-                str(arcs_csv), "--what", "arcs", "--k", "20",
+                str(arcs_csv), "--k", "20",
                 "--root-at", ",".join(str(c) for c in root)]) == 0
     header, rows = read_csv(arcs_csv)
     assert header == ["tail", "head", "weight", "alpha", "length"]
-    assert rows
-
-    pairs_csv = tmp_path / "pairs.csv"
-    assert run(["graph-dump", "--cloud", str(cloud_path), "--out",
-                str(pairs_csv), "--what", "neighbors", "--k", "20",
-                "--root-at", ",".join(str(c) for c in root)]) == 0
-    header, rows = read_csv(pairs_csv)
-    assert header == ["u", "v"]
     assert rows
 
 
@@ -191,8 +184,8 @@ def test_single_cloud_dump_is_the_solved_system(tmp_path):
 
 @pytest.mark.parametrize("mode", ["confluent", "geodesic", "anisotropic"])
 def test_graph_dump_writes_the_system_reconstruct_solved(tmp_path, mode):
-    # graph-dump --what neighbors writes the bytes of reconstruct
-    # --dump-neighbors, and --what arcs the mode's graph over those pairs
+    # graph-dump writes the mode's graph over the pairs that reconstruct
+    # --dump-neighbors writes
     corpus = tmp_path / "corpus"
     small_synth(corpus, extra=["--tangent-noise", "0.1"])
     manifest = read_json(corpus / "manifest.json")
@@ -202,14 +195,9 @@ def test_graph_dump_writes_the_system_reconstruct_solved(tmp_path, mode):
     flags += ["--anisotropic"] if mode == "anisotropic" else ["--mode", mode]
     assert run(["reconstruct", *flags, "--out", str(tmp_path / "t.txt"),
                 "--dump-neighbors"]) == 0
-    assert run(["graph-dump", *flags, "--out", str(tmp_path / "n.csv"),
-                "--what", "neighbors"]) == 0
-    dumped = (tmp_path / "t_neighbors.csv").read_bytes()
-    assert (tmp_path / "n.csv").read_bytes() == dumped
-    assert run(["graph-dump", *flags, "--out", str(tmp_path / "a.csv"),
-                "--what", "arcs"]) == 0
+    assert run(["graph-dump", *flags, "--out", str(tmp_path / "a.csv")]) == 0
     cloud = read_point_cloud(cloud_path)
-    system = read_neighbor_pairs(tmp_path / "n.csv", cloud=cloud)
+    system = read_neighbor_pairs(tmp_path / "t_neighbors.csv", cloud=cloud)
     graph = (build_geodesic_graph(cloud, system) if mode == "geodesic"
              else build_confluent_graph(cloud, system, epsilon=math.pi / 2))
     _, rows = read_csv(tmp_path / "a.csv")
@@ -285,17 +273,17 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     cloud_path = corpus / manifest["items"][0]["clouds"][0]["path"]
 
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 10, "what": "neighbors"}))
+    cfg_path.write_text(json.dumps({"k": 10, "mode": "geodesic"}))
     out_a = tmp_path / "a.csv"
     assert run(["--config", str(cfg_path), "graph-dump", "--cloud",
                 str(cloud_path), "--out", str(out_a), "--root-index",
                 "0"]) == 0
     header, _ = read_csv(out_a)
-    assert header == ["u", "v"]  # config file set what=neighbors
+    assert header == ["u", "v", "weight"]  # config file set mode=geodesic
 
     out_b = tmp_path / "b.csv"
     assert run(["--config", str(cfg_path), "graph-dump", "--cloud",
-                str(cloud_path), "--out", str(out_b), "--what", "arcs",
+                str(cloud_path), "--out", str(out_b), "--mode", "confluent",
                 "--root-index", "0"]) == 0
     header, _ = read_csv(out_b)
     assert header[0] == "tail"  # explicit flag beat the config file
@@ -654,3 +642,36 @@ def test_synth_refuses_an_empty_corpus(tmp_path, capsys, n_trees):
     assert captured.err.splitlines() == [
         f"error: n_trees must be >= 1, got {n_trees}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_sweep_values_without_a_sweep_parameter_are_refused(tmp_path, capsys,
+                                                            how):
+    out = tmp_path / "corpus"
+    args = ["synth", "--out", str(out), "--n-trees", "1", "--n-leaves", "4"]
+    if how == "flag":
+        args += ["--sweep-values", "0,1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep_values": [0, 1]}))
+        args = ["--config", str(cfg_path), *args]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: sweep values given but no sweep parameter"]
+    assert not out.exists()
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    for argv in (["reconstruct", "--out", "t.txt"],
+                 ["graph-dump", "--cloud", "c.txt", "--out", "a.csv"]):
+        assert _config_from_args(parser.parse_args(argv)) == PipelineConfig()
+    args = parser.parse_args(["synth", "--out", "corpus"])
+    sampler = SamplerConfig()
+    assert (args.spacing, args.position_noise, args.tangent_noise,
+            args.flip_prob, args.dropout) == (
+        sampler.spacing, sampler.position_noise_std,
+        sampler.tangent_noise_std_rad, sampler.orientation_flip_prob,
+        sampler.dropout_prob)

@@ -290,6 +290,27 @@ def test_nan_samples_rejected(tmp_path):
         read_point_cloud(path)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
+def test_in_memory_radii_are_refused_as_their_readers_refuse_them(tmp_path,
+                                                                 radius):
+    # what passes a cloud's or a tree's own checks reads back
+    with pytest.raises(ValueError, match="radii must be finite and >= 0"):
+        SampleCloud([[0, 0, 0], [1, 0, 0]], [[1, 0, 0]] * 2, [1.0, radius])
+    tree = GroundTruthTree(positions=[[0, 0, 0], [1, 0, 0]],
+                           radii=[1.0, radius], parent=[-1, 0],
+                           domain_size=10.0)
+    with pytest.raises(ValueError, match="radii must be finite and >= 0"):
+        tree.validate()
+    tree.radii[1] = 0.5
+    tree.validate()
+    write_tree(tmp_path / "tree.txt", tree)
+    assert read_tree(tmp_path / "tree.txt").radii.tolist() == [1.0, 0.5]
+    cloud = SampleCloud([[0, 0, 0], [1, 0, 0]], [[1, 0, 0]] * 2, [1.0, 0.0])
+    write_point_cloud(tmp_path / "cloud.txt", cloud)
+    assert read_point_cloud(tmp_path / "cloud.txt").radii.tolist() == \
+        [1.0, 0.0]
+
+
 @pytest.mark.parametrize("name, body, line, message", [
     ("tree", "1 0 0 0 0 nan", 5, "radii must be finite and >= 0"),
     ("tree", "1 0 0 0 0 -1.0", 5, "radii must be finite and >= 0"),
@@ -309,12 +330,15 @@ def test_nan_samples_rejected(tmp_path):
     ("cloud", "0 0 0 0 0 0", 4, "tangents must be finite unit vectors"),
     ("cloud", "0 0 0 0.6 0.8 0.01", 4, "tangents must be finite unit vectors"),
     ("cloud", "0 0 0 1.000002 0 0", 4, "tangents must be finite unit vectors"),
+    ("recon", "1 -2 1 0 0 0 1 1", 5, "a parent must be a node id, or -1 at"),
+    ("recon", "1 -5 1 0 0 0 1 1", 5, "a parent must be a node id, or -1 at"),
 ], ids=["gt-radius-nan", "gt-radius-negative", "gt-radius-inf",
         "gt-x-nan", "gt-y-inf", "recon-length-nan", "recon-weight-negative",
         "recon-y-nan", "cloud-x-nan", "cloud-tangent-inf",
         "cloud-radius-negative", "cloud-radius-inf", "gt-parent-excluded",
         "gt-parent-below", "cloud-tangent-long", "cloud-tangent-zero",
-        "cloud-tangent-off-unit", "cloud-tangent-just-off-unit"])
+        "cloud-tangent-off-unit", "cloud-tangent-just-off-unit",
+        "recon-parent-excluded", "recon-parent-below"])
 def test_values_a_table_cannot_hold_fail_naming_their_line(tmp_path, name,
                                                            body, line,
                                                            message):
@@ -351,6 +375,19 @@ def test_ground_truth_root_header_must_name_the_root(tmp_path, header):
     assert read_tree(path).root == 0
 
 
+@pytest.mark.parametrize("header", ["root 9", "root 1", "root -1"],
+                         ids=["root-range", "root-with-parent",
+                              "root-negative"])
+def test_reconstruction_root_line_must_name_a_node_without_a_parent(
+        tmp_path, header):
+    path = tmp_path / "tree.txt"
+    path.write_text(f"# node parent x y z alpha length weight\n{header}\n"
+                    "0 -1 0 0 0 nan nan nan\n1 0 1 0 0 0 1 1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: {header} is not a node without a parent")):
+        read_tree(path)
+
+
 def test_unit_tangents_read_to_the_sample_cloud_tolerance(tmp_path):
     # 1e-6 off unit length is what a SampleCloud accepts, and so does the
     # reader
@@ -367,15 +404,14 @@ def test_unit_tangents_read_to_the_sample_cloud_tolerance(tmp_path):
     ("root 0\n0 -1 0 0 0 1\n1 2 1 0 0 1\n2 1 2 0 0 1\n", "cycle detected"),
     ("root 0\n0 -1 0 0 0 1\n1 7 1 0 0 1\n", r"parent ids must lie in"),
     ("root 0\n0 1 0 0 0 1\n1 0 1 0 0 1\n", "root must map to no parent"),
-    # reconstruction: root out of range, negative node id
-    ("root 9\n0 -1 0 0 0 nan nan nan\n", "root must map to no parent"),
+    # reconstruction: negative node id
     ("root 0\n0 -1 0 0 0 nan nan nan\n-1 0 1 0 0 0 1 1\n", "node ids"),
     # header lines without their value, or with one that does not parse
     ("root\n0 -1 0 0 0 1\n", "line 1: bad header 'root'"),
     ("root 0\n0 -1 0 0 0 1\nroot x\n", "line 3: bad header 'root x'"),
     ("# domain_size\nroot 0\n0 -1 0 0 0 1\n", "line 1: bad header"),
-], ids=["gt-cycle", "gt-parent-range", "gt-no-root", "root-range",
-        "negative-node-id", "bare-root", "root-not-int", "bare-domain-size"])
+], ids=["gt-cycle", "gt-parent-range", "gt-no-root", "negative-node-id",
+        "bare-root", "root-not-int", "bare-domain-size"])
 def test_malformed_tree_files_fail_loudly(tmp_path, body, message):
     path = tmp_path / "tree.txt"
     path.write_text(body)
